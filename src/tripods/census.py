@@ -11,16 +11,15 @@ quadruples (a, b, c, d) with |z| <= R, |w| <= R and testing, per tuple:
                    'appendix': largest triangle angle strictly at the origin
 
 Every predicate is an integer sign test (int64-safe for R <= 10^4), so the
-scan vectorizes; work is split over fixed-size chunks of z-points and merged
-by integer addition, making results independent of the thread count.
+scan vectorizes over the w-points of each z-point.  `census` and
+`enumerate_tripods` consume the same single-threaded scan.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +32,6 @@ APPENDIX = "appendix"
 # Predicate intermediates are bounded by ~16 R^4; int64 holds that up to
 # R ~ 2.7e4.  The enforced limit leaves a wide margin.
 MAX_EXACT_RADIUS = 10_000
-_CHUNK = 64
 
 
 class OverflowLimitError(OverflowError):
@@ -46,7 +44,7 @@ class CensusConfig:
     radius: float
     mode: str = LEMMA
     classify_reduced: bool = False
-    threads: int = 1
+    threads: int = 1  # validated and echoed in the report; the scan uses one thread
     emit_samples: int | None = None
 
     def __post_init__(self):
@@ -129,102 +127,55 @@ def _sign_root3_vec(alpha, beta):
 def lattice_points_in_disk(lattice: LatticeSpec, radius: float) -> np.ndarray:
     """All nonzero lattice points with |a + b*tau| <= radius, as an (N,2) array.
 
-    Exact norm comparison in the preset modes; floats (with a tiny inflation)
-    for general tau.
+    Rows are in lexicographic order.  The norm comparison is exact in the
+    preset modes (for any radius); general tau uses floats with a tiny
+    inflation.
     """
-    if lattice.mode == GAUSSIAN:
-        R = int(radius)
-        r = np.arange(-R, R + 1, dtype=np.int64)
-        A, B = np.meshgrid(r, r, indexing="ij")
-        keep = (A * A + B * B <= R * R) & ~((A == 0) & (B == 0))
-        return np.stack([A[keep], B[keep]], axis=1)
-    if lattice.mode == EISENSTEIN:
-        R = int(radius)
-        bmax = int(2 * R / math.sqrt(3.0)) + 2
-        ra = np.arange(-2 * R - 2, 2 * R + 3, dtype=np.int64)
-        rb = np.arange(-bmax, bmax + 1, dtype=np.int64)
-        A, B = np.meshgrid(ra, rb, indexing="ij")
-        keep = (A * A + A * B + B * B <= R * R) & ~((A == 0) & (B == 0))
-        return np.stack([A[keep], B[keep]], axis=1)
-    s, t = lattice.tau_s, lattice.tau_t
-    bmax = int(radius / t) + 2
-    amax = int(radius * (1 + abs(s) / t)) + 2
+    bmax = int(radius / lattice.tau_t) + 2
+    amax = int(radius * (1 + abs(lattice.tau_s) / lattice.tau_t)) + 2
     ra = np.arange(-amax, amax + 1, dtype=np.int64)
     rb = np.arange(-bmax, bmax + 1, dtype=np.int64)
-    A, B = np.meshgrid(ra, rb, indexing="ij")
-    X = A + B * s
-    Y = B * t
-    keep = (X * X + Y * Y <= radius * radius * (1 + 1e-12)) & ~((A == 0) & (B == 0))
-    return np.stack([A[keep], B[keep]], axis=1)
+    r2 = radius * radius if lattice.is_exact else radius * radius * (1 + 1e-12)
+    nsq = lattice._norm(ra[:, None], rb[None, :])
+    i, j = np.nonzero((nsq <= r2) & (nsq > 0))
+    return np.stack([ra[i], rb[j]], axis=1)
 
 
-@dataclass
-class _ChunkResult:
-    scanned: int = 0
-    all_tripods: int = 0
-    primitive: int = 0
-    reduced: int = 0
-    nonreduced: int = 0
-    angle_ties: int = 0
-    angle_ties_primitive: int = 0
-    sector_boundary: int = 0
-    hist: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int64))
-    samples: list[tuple] = field(default_factory=list)
+def _accept_exact(lattice: LatticeSpec, mode, R, a, b, c, d, include_boundary=False):
+    """Vectorized exact filters for one z-point against orientation-filtered w-points.
 
-    def merge(self, other: "_ChunkResult") -> None:
-        self.scanned += other.scanned
-        self.all_tripods += other.all_tripods
-        self.primitive += other.primitive
-        self.reduced += other.reduced
-        self.nonreduced += other.nonreduced
-        self.angle_ties += other.angle_ties
-        self.angle_ties_primitive += other.angle_ties_primitive
-        self.sector_boundary += other.sector_boundary
-        if len(other.hist) > len(self.hist):
-            self.hist = np.pad(self.hist, (0, len(other.hist) - len(self.hist)))
-        self.hist[: len(other.hist)] += other.hist
-        self.samples.extend(other.samples)
-
-
-def _accept_exact(lattice_mode, mode, R, a, b, c, d):
-    """Vectorized exact filters for one z-block against all w-points.
-
-    Returns (accept mask, index array, angle-tie mask, sector-boundary mask)
-    over the already orientation-filtered arrays.
+    Returns (accept mask, index array, angle-tie mask, sector-boundary mask).
+    `include_boundary` also accepts ell^2 == R^2, which only the Eisenstein
+    lattice attains.
     """
     n = a * d - b * c
-    if lattice_mode == GAUSSIAN:
-        nz = a * a + b * b
-        nw = c * c + d * d
-        q0 = 2 * (a * c + b * d)
-        x = nz + nw - q0 // 2
-        t = R * R - x
+    nz = lattice._norm(a, b)
+    nw = lattice._norm(c, d)
+    q0 = lattice._polar(a, b, c, d)
+    nzw = nz + nw - q0
+    # ell^2 = nz + nw - q0/2 + sqrt(3)*covol*n is irrational on the Gaussian
+    # lattice and rational on the Eisenstein one; one general Q(sqrt(3)) sign
+    # test for both slows the scan by 7-17%
+    if lattice.mode == GAUSSIAN:
+        t = R * R - (nz + nw - q0 // 2)
         len_ok = (t > 0) & (t * t > 3 * n * n)
-        nzw = (a - c) ** 2 + (b - d) ** 2
     else:
-        nz = a * a + a * b + b * b
-        nw = c * c + c * d + d * d
-        q0 = 2 * a * c + 2 * b * d + a * d + b * c
         l2 = 2 * nz + 2 * nw - q0 + 3 * n
-        len_ok = l2 < 2 * R * R
-        e1 = a - c
-        e2 = b - d
-        nzw = e1 * e1 + e1 * e2 + e2 * e2
+        len_ok = l2 <= 2 * R * R if include_boundary else l2 < 2 * R * R
     ok0 = (q0 >= 0) | (q0 * q0 < nz * nw)
     qz = 2 * nz - q0
     qw = 2 * nw - q0
     okz = (qz >= 0) | (qz * qz < nz * nzw)
     okw = (qw >= 0) | (qw * qw < nw * nzw)
-    angles = ok0 & okz & okw
+    angles = len_ok & ok0 & okz & okw
 
     if mode == APPENDIX:
-        canon = np.minimum(nz, nw) > q0
-        accept = len_ok & angles & canon
-        ties = np.zeros_like(accept)
-        boundary = np.zeros_like(accept)
-        return accept, n, ties, boundary
+        zeros = np.zeros_like(angles)
+        return angles & (np.minimum(nz, nw) > q0), n, zeros, zeros
 
-    if lattice_mode == GAUSSIAN:
+    # the sector of u, in the coordinates where each lattice's sign test is
+    # cheapest (same reason as the length test)
+    if lattice.mode == GAUSSIAN:
         s_uy = _sign_root3_vec(b + d, a - c)
         s_ray = _sign_root3_vec(2 * d - b, a + 0 * d)
         s_ux = _sign_root3_vec(a + c, d - b)
@@ -235,70 +186,25 @@ def _accept_exact(lattice_mode, mode, R, a, b, c, d):
         un = a + b - c
         sector = ((un > 0) & (um + un > 0)) | ((un == 0) & (um > 0))
         on_boundary = (un == 0) | (um + un == 0)
-    accept = len_ok & angles & sector
     # tie diagnostics: largest angle not unique <=> two side lengths tie for
     # longest (side lengths nw, nz, nzw oppose the angles at z, w, 0)
     longest0 = (nzw >= nz) & (nzw >= nw)
     longestz = (nw >= nzw) & (nw >= nz)
     longestw = (nz >= nzw) & (nz >= nw)
-    tie = ((longest0 & longestz) | (longest0 & longestw) | (longestz & longestw))
-    return accept, n, tie & accept, on_boundary & accept
-
-
-def _process_chunk(cfg: CensusConfig, pts: np.ndarray, lo: int, hi: int) -> _ChunkResult:
-    res = _ChunkResult()
-    R = cfg.radius
-    c_all = pts[:, 0]
-    d_all = pts[:, 1]
-    want_samples = cfg.emit_samples is not None
-    for i in range(lo, hi):
-        a = int(pts[i, 0])
-        b = int(pts[i, 1])
-        res.scanned += len(c_all)
-        if cfg.lattice.is_exact:
-            n_full = a * d_all - b * c_all
-            pos = n_full > 0
-            c = c_all[pos]
-            d = d_all[pos]
-            accept, n, ties, boundary = _accept_exact(
-                cfg.lattice.mode, cfg.mode, int(R), a, b, c, d)
-        else:
-            c = c_all
-            d = d_all
-            accept, n, ties, boundary = _accept_float(cfg.lattice, cfg.mode, R, a, b, c, d)
-        tie_acc = ties[accept]
-        c = c[accept]
-        d = d[accept]
-        n = n[accept]
-        res.angle_ties += int(np.count_nonzero(ties))
-        res.sector_boundary += int(np.count_nonzero(boundary))
-        if len(c) == 0:
-            continue
-        res.all_tripods += len(c)
-        hist = np.bincount(n)
-        if len(hist) > len(res.hist):
-            res.hist = np.pad(res.hist, (0, len(hist) - len(res.hist)))
-        res.hist[: len(hist)] += hist
-        g = np.gcd(np.gcd(np.int64(abs(a)), np.int64(abs(b))),
-                   np.gcd(np.abs(c), np.abs(d)))
-        prim = g == 1
-        n_prim = int(np.count_nonzero(prim))
-        res.primitive += n_prim
-        res.angle_ties_primitive += int(np.count_nonzero(tie_acc & prim))
-        if cfg.classify_reduced and n_prim:
-            nonred = _nonreduced_mask(cfg.lattice, a, b, c, d, n, prim)
-            res.nonreduced += int(np.count_nonzero(nonred))
-            res.reduced += n_prim - int(np.count_nonzero(nonred))
-        if want_samples and len(res.samples) < cfg.emit_samples:
-            take = min(cfg.emit_samples - len(res.samples), len(c))
-            for k in range(take):
-                res.samples.append((a, b, int(c[k]), int(d[k]), int(n[k]), bool(prim[k])))
-    return res
+    tie = (longest0 & longestz) | (longest0 & longestw) | (longestz & longestw)
+    return angles & sector, n, tie, on_boundary
 
 
 def _accept_float(lattice: LatticeSpec, mode: str, R: float, a, b, c, d):
-    """Float predicates for general-tau lattices (heuristic census)."""
+    """Float predicates for general-tau lattices (heuristic census).
+
+    A value within an epsilon-scaled margin of a predicate boundary resolves
+    as an exact tie would: the strict length and angle tests reject it, and
+    the half-open sector keeps the ray uy = 0, ux > 0 and drops the ray
+    sqrt(3)*ux + uy = 0.
+    """
     s, t = lattice.tau_s, lattice.tau_t
+    eps = lattice.epsilon
     n = a * d - b * c
     pos = n > 0
     zx, zy = a + b * s, b * t
@@ -306,21 +212,49 @@ def _accept_float(lattice: LatticeSpec, mode: str, R: float, a, b, c, d):
     dot0 = zx * wx + zy * wy
     nz = zx * zx + zy * zy
     nw = wx * wx + wy * wy
-    ok0 = (dot0 >= 0) | (4 * dot0 * dot0 < nz * nw)
+    ok0 = (dot0 >= 0) | (4 * dot0 * dot0 < (1 - eps) * nz * nw)
     ex, ey = wx - zx, wy - zy
     nzw = ex * ex + ey * ey
     dotz = nz - dot0
     dotw = nw - dot0
-    okz = (dotz >= 0) | (4 * dotz * dotz < nz * nzw)
-    okw = (dotw >= 0) | (4 * dotw * dotw < nw * nzw)
+    okz = (dotz >= 0) | (4 * dotz * dotz < (1 - eps) * nz * nzw)
+    okw = (dotw >= 0) | (4 * dotw * dotw < (1 - eps) * nw * nzw)
     c60, s60 = 0.5, math.sqrt(3.0) / 2.0
     ux = c60 * zx - s60 * zy + c60 * wx + s60 * wy
     uy = s60 * zx + c60 * zy + c60 * wy - s60 * wx
-    len_ok = ux * ux + uy * uy < R * R
-    sector = ((uy > 0) & (math.sqrt(3.0) * ux + uy > 0)) | ((uy == 0) & (ux > 0))
+    len_ok = ux * ux + uy * uy < (1 - eps) * R * R
+    tol = eps * R
+    on_axis = np.abs(uy) <= tol
+    sector = ((uy > tol) & (math.sqrt(3.0) * ux + uy > tol)) | (on_axis & (ux > 0))
     accept = pos & ok0 & okz & okw & len_ok & sector
     zeros = np.zeros_like(accept)
     return accept, n, zeros, zeros
+
+
+def _scan(lattice: LatticeSpec, mode: str, radius, pts: np.ndarray, include_boundary=False):
+    """Yield (a, b, c, d, n, tie, boundary) per z-point of `pts` with a tripod.
+
+    c, d, n are the accepted w-points and their indices in scan order; tie
+    and boundary flag the accepted tuples with an angle tie or on the sector
+    boundary.
+    """
+    R = int(radius) if lattice.is_exact else radius
+    c_all = pts[:, 0]
+    d_all = pts[:, 1]
+    for a, b in pts.tolist():
+        if lattice.is_exact:
+            pos = a * d_all - b * c_all > 0
+            c = c_all[pos]
+            d = d_all[pos]
+            accept, n, tie, boundary = _accept_exact(lattice, mode, R, a, b, c, d,
+                                                     include_boundary)
+        else:
+            c = c_all
+            d = d_all
+            accept, n, tie, boundary = _accept_float(lattice, mode, R, a, b, c, d)
+        idx = np.flatnonzero(accept)
+        if len(idx):
+            yield a, b, c[idx], d[idx], n[idx], tie[idx], boundary[idx]
 
 
 def _nonreduced_mask(lattice: LatticeSpec, a, b, c, d, n, prim):
@@ -345,10 +279,11 @@ def _nonreduced_mask(lattice: LatticeSpec, a, b, c, d, n, prim):
             flags = geometry.classify_heuristic(lattice, a, b, int(c[k]), int(d[k]))
             out[k] = not flags.reduced
         return out
+    nz = lattice._norm(a, b)
+    nw = lattice._norm(c, d)
+    q0 = lattice._polar(a, b, c, d)
+    # the two lattices need different mathematics (see above)
     if lattice.mode == EISENSTEIN:
-        nz = a * a + a * b + b * b
-        nw = c * c + c * d + d * d
-        q0 = 2 * a * c + 2 * b * d + a * d + b * c
         l2 = 2 * nz + 2 * nw - q0 + 3 * n
         um = -b + c + d
         un = a + b - c
@@ -364,59 +299,63 @@ def _nonreduced_mask(lattice: LatticeSpec, a, b, c, d, n, prim):
         junction = (pk % l2 == 0) & (pk >= l2)
         return prim & (legs | junction)
     # Gaussian
-    nz = a * a + b * b
-    nw = c * c + d * d
-    q0 = 2 * (a * c + b * d)
     candidate = prim & ((nz == nw) | (nw == q0) | (nz == q0))
     out = np.zeros_like(prim)
-    idx = np.nonzero(candidate)[0]
-    for k in idx:
+    for k in np.nonzero(candidate)[0]:
         tripod = geometry.Tripod.from_coords(lattice, a, b, int(c[k]), int(d[k]))
-        flags = geometry.classify(tripod)
-        out[k] = not flags.reduced
+        out[k] = not geometry.classify(tripod).reduced
     return out
 
 
 def census(config: CensusConfig) -> CensusReport:
-    """Run the census described by `config`; deterministic for any thread count."""
+    """Run the census described by `config` in one single-threaded scan."""
     t0 = time.perf_counter()
-    pts = lattice_points_in_disk(config.lattice, config.radius)
-    chunks = [(lo, min(lo + _CHUNK, len(pts))) for lo in range(0, len(pts), _CHUNK)]
-    if config.threads == 1 or len(chunks) <= 1:
-        results = [_process_chunk(config, pts, lo, hi) for lo, hi in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(lambda ch: _process_chunk(config, pts, *ch), chunks))
-    total = _ChunkResult()
-    for r in results:
-        total.merge(r)
+    lattice = config.lattice
+    pts = lattice_points_in_disk(lattice, config.radius)
+    all_tripods = primitive = reduced = nonreduced = 0
+    angle_ties = angle_ties_primitive = sector_boundary = 0
+    hist = np.zeros(1, dtype=np.int64)
+    samples = None if config.emit_samples is None else []
+    for a, b, c, d, n, tie, boundary in _scan(lattice, config.mode, config.radius, pts):
+        all_tripods += len(c)
+        angle_ties += int(np.count_nonzero(tie))
+        sector_boundary += int(np.count_nonzero(boundary))
+        h = np.bincount(n)
+        if len(h) > len(hist):
+            hist = np.pad(hist, (0, len(h) - len(hist)))
+        hist[: len(h)] += h
+        prim = np.gcd(math.gcd(a, b), np.gcd(c, d)) == 1
+        n_prim = int(np.count_nonzero(prim))
+        primitive += n_prim
+        angle_ties_primitive += int(np.count_nonzero(tie & prim))
+        if config.classify_reduced and n_prim:
+            n_nonred = int(np.count_nonzero(_nonreduced_mask(lattice, a, b, c, d, n, prim)))
+            nonreduced += n_nonred
+            reduced += n_prim - n_nonred
+        if samples is not None and len(samples) < config.emit_samples:
+            for k in range(min(config.emit_samples - len(samples), len(c))):
+                samples.append({"coords": [a, b, int(c[k]), int(d[k])], "index": int(n[k]),
+                                "primitive": bool(prim[k])})
     elapsed = (time.perf_counter() - t0) * 1000.0
-    hist = {int(i): int(v) for i, v in enumerate(total.hist) if v > 0}
-    samples = None
-    if config.emit_samples is not None:
-        samples = [
-            {"coords": [a, b, c, d], "index": n, "primitive": prim}
-            for (a, b, c, d, n, prim) in total.samples[: config.emit_samples]
-        ]
     ref = 15 * math.sqrt(3.0) / (4 * math.pi ** 3)
     return CensusReport(
-        lattice=config.lattice.describe(),
+        lattice=lattice.describe(),
         radius=config.radius,
         mode=config.mode,
         classify_reduced=config.classify_reduced,
         threads=config.threads,
-        total_tuples_scanned=total.scanned,
-        all_tripods=total.all_tripods,
-        primitive=total.primitive,
-        reduced=total.reduced if config.classify_reduced else None,
-        nonreduced_primitive=total.nonreduced if config.classify_reduced else None,
-        index_histogram=hist,
-        angle_tie_count=total.angle_ties,
-        angle_tie_primitive_count=total.angle_ties_primitive,
-        sector_boundary_count=total.sector_boundary,
-        normalized_constant=total.primitive / config.radius ** 4,
+        total_tuples_scanned=len(pts) * len(pts),
+        all_tripods=all_tripods,
+        primitive=primitive,
+        reduced=reduced if config.classify_reduced else None,
+        nonreduced_primitive=nonreduced if config.classify_reduced else None,
+        index_histogram={int(i): int(v) for i, v in enumerate(hist) if v > 0},
+        angle_tie_count=angle_ties,
+        angle_tie_primitive_count=angle_ties_primitive,
+        sector_boundary_count=sector_boundary,
+        normalized_constant=primitive / config.radius ** 4,
         reference_constant=ref,
-        heuristic=not config.lattice.is_exact,
+        heuristic=not lattice.is_exact,
         elapsed_ms=elapsed,
         samples=samples,
     )
@@ -436,38 +375,9 @@ def enumerate_tripods(lattice: LatticeSpec, radius: float, mode: str = LEMMA,
     if R > MAX_EXACT_RADIUS:
         raise OverflowLimitError(f"radius {R} exceeds {MAX_EXACT_RADIUS}")
     pts = lattice_points_in_disk(lattice, R)
-    c_all = pts[:, 0]
-    d_all = pts[:, 1]
-    rows = []
-    for i in range(len(pts)):
-        a = int(pts[i, 0])
-        b = int(pts[i, 1])
-        n_full = a * d_all - b * c_all
-        pos = n_full > 0
-        c = c_all[pos]
-        d = d_all[pos]
-        accept, _, _, _ = _accept_exact(lattice.mode, mode, R, a, b, c, d)
-        if include_boundary and lattice.mode == EISENSTEIN:
-            nz = a * a + a * b + b * b
-            nw = c * c + c * d + d * d
-            q0 = 2 * a * c + 2 * b * d + a * d + b * c
-            nn = a * d - b * c
-            l2 = 2 * nz + 2 * nw - q0 + 3 * nn
-            relaxed, _, _, _ = _accept_exact(lattice.mode, mode, R + 1, a, b, c, d)
-            accept = accept | (relaxed & (l2 == 2 * R * R))
-        c = c[accept]
-        d = d[accept]
-        if len(c):
-            block = np.empty((len(c), 4), dtype=np.int64)
-            block[:, 0] = a
-            block[:, 1] = b
-            block[:, 2] = c
-            block[:, 3] = d
-            rows.append(block)
-    if not rows:
-        return np.empty((0, 4), dtype=np.int64)
-    return np.concatenate(rows, axis=0)
-
+    rows = [np.column_stack([np.full(len(c), a), np.full(len(c), b), c, d])
+            for a, b, c, d, *_ in _scan(lattice, mode, R, pts, include_boundary)]
+    return np.concatenate(rows) if rows else np.empty((0, 4), dtype=np.int64)
 
 def convergence_scan(lattice: LatticeSpec, radii: list[float], mode: str = LEMMA,
                      threads: int = 1) -> list[dict]:
@@ -516,7 +426,7 @@ def nonreduced_census(lattice: LatticeSpec, radius: float, threads: int = 1,
         "all_over_R4": rep.all_tripods / radius ** 4,
         "elapsed_ms": rep.elapsed_ms,
     }
-    if lattice.mode == EISENSTEIN:
+    if lattice.mode == EISENSTEIN:  # the paper states these constants for this lattice
         out["constants"] = {
             "nonreduced_bound": (1 - 6 / math.pi ** 2) * math.pi / 16,
             "c1": (1 - 6 / math.pi ** 2) * 0.75,

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 usage error, 3 overflow guard, 4 invalid tripod.
 JSON goes to stdout (or --out); diagnostics to stderr.  The TRIPOD_THREADS
-environment variable supplies the default for --threads.
+environment variable supplies the default for --threads, which is validated
+and echoed in reports; the census itself runs on one thread.
 """
 
 from __future__ import annotations
@@ -229,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, fmt=True):
         p.add_argument("--threads", type=int, default=threads_default,
-                       help="worker threads (default: TRIPOD_THREADS or 1)")
+                       help="echoed in the report; the census runs on one thread "
+                            "(default: TRIPOD_THREADS or 1)")
         p.add_argument("--out", help="write the report to a file instead of stdout")
         if fmt:
             p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -289,9 +291,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite `--coords -1,2,3,4` as `--coords=-1,2,3,4`.
+
+    argparse reads a separate value that starts with '-' as an option.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in ("--coords", "--basis") and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except OverflowLimitError as exc:

@@ -88,6 +88,36 @@ class LatticeSpec:
         b = y / self.tau_t
         return x - b * self.tau_s, b
 
+    # -- integer arithmetic, on Python ints and int64 arrays alike ----------
+    # (underscore names: these run once per scanned z-point)
+
+    def _norm(self, a, b):
+        """Norm form |a + b*tau|^2; an integer in the preset modes."""
+        if self.mode == GAUSSIAN:
+            return a * a + b * b
+        if self.mode == EISENSTEIN:
+            return a * a + a * b + b * b
+        x = a + b * self.tau_s
+        y = b * self.tau_t
+        return x * x + y * y
+
+    def _polar(self, a, b, c, d):
+        """Polarization norm(z + w) - norm(z) - norm(w) = 2 Re(z w~) (preset modes)."""
+        if self.mode == GAUSSIAN:
+            return 2 * (a * c + b * d)
+        if self.mode == EISENSTEIN:
+            return 2 * (a * c + b * d) + a * d + b * c
+        raise ValueError("integer polarization only available in preset modes")
+
+    def _doubled(self, a, b):
+        """Twice the embedding as integer pairs ((x, x_root3), (y, y_root3))."""
+        zero = 0 * a
+        if self.mode == GAUSSIAN:
+            return (2 * a, zero), (2 * b, zero)
+        if self.mode == EISENSTEIN:
+            return (2 * a + b, zero), (zero, b)
+        raise ValueError("integer embedding only available in preset modes")
+
     def describe(self) -> str:
         if self.mode == GENERAL:
             return f"tau={self.tau_s:g},{self.tau_t:g}"

@@ -23,6 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .census import _sign_root3_vec, lattice_points_in_disk
 from .geometry import InvalidTripodError, Tripod, angle_condition, toricelli_point
 from .lattice import EISENSTEIN, GAUSSIAN, LatticeSpec, LatticeVector
 from .quadratic import QuadraticNumber, sign_root3
@@ -98,17 +99,21 @@ def _leg_data(tripod: Tripod):
     """
     a, b, c, d = tripod.coords
     n = tripod.index_n
-    if tripod.lattice.mode == GAUSSIAN:
-        s = a * c + b * d
-        x = a * a + b * b + c * c + d * d - s
+    lat = tripod.lattice
+    if not lat.is_exact:
+        raise ValueError("immersion oracle requires a preset lattice")
+    nz = lat._norm(a, b)
+    nw = lat._norm(c, d)
+    q0 = lat._polar(a, b, c, d)
+    v2s = tuple(lat._doubled(x, y) for x, y in ((0, 0), (a, b), (c, d)))
+    # per-lattice junction algebra: a generic form would enlarge the
+    # coefficients and push more tripods off the int64 vector path
+    if lat.mode == GAUSSIAN:
+        s = q0 // 2
         u2 = ((a + c, d - b), (b + d, a - c))
         tpair = (3 * s, n)
-        dpair = (3 * x, 3 * n)
-        v2s = (((0, 0), (0, 0)), ((2 * a, 0), (2 * b, 0)), ((2 * c, 0), (2 * d, 0)))
-    elif tripod.lattice.mode == EISENSTEIN:
-        q0 = 2 * a * c + 2 * b * d + a * d + b * c
-        nz = a * a + a * b + b * b
-        nw = c * c + c * d + d * d
+        dpair = (3 * (nz + nw - s), 3 * n)
+    else:
         l2 = 2 * nz + 2 * nw - q0 + 3 * n
         um = -b + c + d
         un = a + b - c
@@ -117,11 +122,6 @@ def _leg_data(tripod: Tripod):
         assert (q0 + n) % 2 == 0 and l2 % 2 == 0
         tpair = ((q0 + n) // 2, 0)
         dpair = (l2 // 2, 0)
-        v2s = (((0, 0), (0, 0)),
-               ((2 * a + b, 0), (0, b)),
-               ((2 * c + d, 0), (0, d)))
-    else:
-        raise ValueError("immersion oracle requires a preset lattice")
     return u2, tpair, dpair, v2s
 
 
@@ -131,31 +131,6 @@ def _pv_vectors(u2, tpair, dpair, v2s):
     return tuple(
         (_psub(tu[0], _pmul(v2[0], dpair)), _psub(tu[1], _pmul(v2[1], dpair)))
         for v2 in v2s)
-
-
-def _sign_root3_vec(alpha, beta):
-    sa = np.sign(alpha)
-    sb = np.sign(beta)
-    opp = sa * np.sign(alpha * alpha - 3 * beta * beta)
-    return np.where(beta == 0, sa, np.where(alpha == 0, sb, np.where(sa == sb, sa, opp)))
-
-
-def _translates(lattice: LatticeSpec, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Lattice points with |embedding| <= radius, plus squared norms."""
-    bound = radius + 1e-6
-    if lattice.mode == GAUSSIAN:
-        m = int(bound) + 1
-        r = np.arange(-m, m + 1, dtype=np.int64)
-        A, B = np.meshgrid(r, r, indexing="ij")
-        nsq = A * A + B * B
-    else:
-        bmax = int(2 * bound / math.sqrt(3.0)) + 2
-        ra = np.arange(-2 * int(bound) - 2, 2 * int(bound) + 3, dtype=np.int64)
-        rb = np.arange(-bmax, bmax + 1, dtype=np.int64)
-        A, B = np.meshgrid(ra, rb, indexing="ij")
-        nsq = A * A + A * B + B * B
-    keep = nsq <= bound * bound
-    return np.stack([A[keep], B[keep]], axis=1), nsq[keep].astype(np.float64)
 
 
 _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
@@ -184,14 +159,14 @@ def self_intersections(tripod: Tripod, lattice: LatticeSpec | None = None) -> Im
     leg_len = tripod.leg_lengths()
 
     pair_bounds = [leg_len[i] + leg_len[j] for (i, j) in _PAIRS]
-    lam_all, lam_nsq = _translates(lat, max(pair_bounds))
+    lam_all = lattice_points_in_disk(lat, max(pair_bounds) + 1e-6)
+    # the origin joins at its lexicographic place, the middle of the centrally
+    # symmetric disk: the order of the suspects decides degenerate_reason
+    lam_all = np.insert(lam_all, len(lam_all) // 2, 0, axis=0)
     m = lam_all[:, 0]
     nn = lam_all[:, 1]
-    zeros = np.zeros_like(m)
-    if lat.mode == GAUSSIAN:
-        l2x_r, l2x_s, l2y_r, l2y_s = 2 * m, zeros, 2 * nn, zeros
-    else:
-        l2x_r, l2x_s, l2y_r, l2y_s = 2 * m + nn, zeros, zeros, nn
+    lam_nsq = lat._norm(m, nn)
+    (l2x_r, l2x_s), (l2y_r, l2y_s) = lat._doubled(m, nn)
     nonzero = (m != 0) | (nn != 0)
 
     # assemble one row set over all (leg pair, translate) combos
@@ -301,10 +276,7 @@ class _ExactLegGeometry:
         self.p_scaled = pvs[0]
 
     def _lam_scaled(self, lm: int, ln: int):
-        if self.lattice.mode == GAUSSIAN:
-            l2 = ((2 * lm, 0), (2 * ln, 0))
-        else:
-            l2 = ((2 * lm + ln, 0), (0, ln))
+        l2 = self.lattice._doubled(lm, ln)
         return (_pmul(l2[0], self.dpair), _pmul(l2[1], self.dpair))
 
     def _segments(self, i, j, lm, ln):
@@ -363,8 +335,9 @@ class _ExactLegGeometry:
         qx = _padd(_pmul(a0[0], td), _pmul(tn, ab[0]))
         qy = _padd(_pmul(a0[1], td), _pmul(tn, ab[1]))
         den = _pmul(_pmul((2, 0), self.dpair), td)
+        # back to lattice coordinates, which are the plane's on the Gaussian lattice
         if self.lattice.mode == EISENSTEIN:
-            # lattice coords: a = x - y/sqrt(3), b = 2*y/sqrt(3); multiply
+            # a = x - y/sqrt(3), b = 2*y/sqrt(3); multiply
             # through by 3 to stay integral (sqrt(3)*y = (3*y_s, y_r))
             ry = (3 * qy[1], qy[0])
             qa = (3 * qx[0] - ry[0], 3 * qx[1] - ry[1])
@@ -412,11 +385,7 @@ def fiber_tripods(basis: tuple[LatticeVector, LatticeVector], lattice: LatticeSp
         raise ValueError("basis vectors are dependent")
 
     def norm_sq(m: int, n: int) -> int:
-        a = m * v1.a + n * v2.a
-        b = m * v1.b + n * v2.b
-        if lattice.mode == GAUSSIAN:
-            return a * a + b * b
-        return a * a + a * b + b * b
+        return lattice._norm(m * v1.a + n * v2.a, m * v1.b + n * v2.b)
 
     covol = abs(det) * lattice.covolume
     len1 = math.sqrt(norm_sq(1, 0))
@@ -487,10 +456,7 @@ def _canonical_lift(lattice: LatticeSpec, a, b, c, d, mode: str):
     lifts = [(a, b, c, d), (c - a, d - b, -a, -b), (-c, -d, a - c, b - d)]
     if mode == "appendix":
         for (aa, bb, cc, dd) in lifts:
-            nz = aa * aa + bb * bb
-            nw = cc * cc + dd * dd
-            q0 = 2 * (aa * cc + bb * dd)
-            if min(nz, nw) > q0:
+            if min(lattice._norm(aa, bb), lattice._norm(cc, dd)) > lattice._polar(aa, bb, cc, dd):
                 return (aa, bb, cc, dd)
         # tied largest angle: fall through to the sector rule
     for (aa, bb, cc, dd) in lifts:

@@ -7,8 +7,11 @@ import pytest
 from tripods.census import (
     APPENDIX,
     LEMMA,
+    MAX_EXACT_RADIUS,
     CensusConfig,
     OverflowLimitError,
+    _accept_exact,
+    _nonreduced_mask,
     census,
     convergence_scan,
     enumerate_tripods,
@@ -252,14 +255,15 @@ def test_general_tau_census_heuristic():
     assert rep.reduced + rep.nonreduced_primitive == rep.primitive
 
 
-def test_general_tau_near_eisenstein_matches_exact_counts():
-    lat = general_lattice(0.5, math.sqrt(3) / 2)
-    rep_f = census(CensusConfig(lattice=lat, radius=7.0))
-    rep_e = census(CensusConfig(lattice=E, radius=7))
-    # counts may differ only by boundary-rounding tuples; at this radius the
-    # nearest non-boundary predicates are far from the float rounding zone,
-    # and exact-boundary tuples are excluded by both paths
-    assert abs(rep_f.all_tripods - rep_e.all_tripods) <= rep_e.sector_boundary_count + 60
+@pytest.mark.parametrize("radius", [7, 10])
+@pytest.mark.parametrize("tau, exact", [((0.0, 1.0), G), ((0.5, math.sqrt(3) / 2), E)],
+                         ids=["gaussian", "eisenstein"])
+def test_general_tau_at_preset_point_matches_exact_counts(tau, exact, radius):
+    # the float path resolves near-boundary values as exact ties, so a float
+    # tau equal to a preset lattice reproduces its exact counts
+    rep_f = census(CensusConfig(lattice=general_lattice(*tau), radius=float(radius)))
+    rep_e = census(CensusConfig(lattice=exact, radius=radius))
+    assert (rep_f.all_tripods, rep_f.primitive) == (rep_e.all_tripods, rep_e.primitive)
     assert rep_f.heuristic
 
 
@@ -314,3 +318,94 @@ def test_disk_enumeration_counts():
     direct = sum(1 for a in range(-10, 11) for b in range(-10, 11)
                  if 0 < a * a + b * b <= 100)
     assert len(pts) == direct
+
+
+# -- the int64 bound of the exact predicates, checked -------------------------
+
+
+class _Tracked(int):
+    """A Python int whose arithmetic results record the largest magnitude."""
+
+    peak = 0
+
+
+def _tracked(value):
+    if value is NotImplemented:   # the other operand is an array
+        return value
+    _Tracked.peak = max(_Tracked.peak, abs(int(value)))
+    return _Tracked(value)
+
+
+for _name in ("add", "sub", "mul", "floordiv", "mod"):
+    for _dunder in (f"__{_name}__", f"__r{_name}__"):
+        setattr(_Tracked, _dunder,
+                lambda self, other, _op=getattr(int, _dunder): _tracked(_op(self, other)))
+_Tracked.__neg__ = lambda self: _tracked(-int(self))
+_Tracked.__abs__ = lambda self: _tracked(abs(int(self)))
+
+
+def _extreme_points(lat, R):
+    """Lattice points near |z| = R, 0.55 R and 0.3 R in 48 directions."""
+    pts = set()
+    for k in range(48):
+        theta = math.radians(15 * (k // 2) + 0.5 * (k % 2))
+        for rho in (R, 0.55 * R, 0.3 * R):
+            x, y = rho * math.cos(theta), rho * math.sin(theta)
+            b = round(y / lat.tau_t)
+            a = round(x - b * lat.tau_s)
+            while lat._norm(a, b) > R * R:
+                a -= (a > 0) - (a < 0)
+                b -= (b > 0) - (b < 0)
+            pts.add((a, b))
+    return sorted(pts)
+
+
+def _predicates_on(lat, mode, include_boundary, R, pts, wrap):
+    """_accept_exact and _nonreduced_mask over all oriented pairs of `pts`."""
+    out = []
+    ws = np.array(pts, dtype=np.int64)
+    for a, b in pts:
+        pos = a * ws[:, 1] - b * ws[:, 0] > 0
+        c = wrap(ws[pos, 0])
+        d = wrap(ws[pos, 1])
+        za, zb, zr = wrap(a), wrap(b), wrap(R)
+        accept, n, tie, boundary = _accept_exact(lat, mode, zr, za, zb, c, d, include_boundary)
+        prim = np.array([gcd(gcd(a, b), gcd(int(x), int(y))) == 1
+                         for x, y in zip(c[accept], d[accept])], dtype=bool)
+        nonred = _nonreduced_mask(lat, za, zb, c[accept], d[accept], n[accept], prim)
+        out.append((accept.astype(bool).tolist(), [int(x) for x in n],
+                    tie.astype(bool).tolist(), boundary.astype(bool).tolist(),
+                    nonred.astype(bool).tolist()))
+    return out
+
+
+@pytest.mark.parametrize("lat, mode, include_boundary", [
+    (G, LEMMA, False), (G, APPENDIX, False), (G, LEMMA, True),
+    (E, LEMMA, False), (E, APPENDIX, False), (E, LEMMA, True),
+], ids=["gaussian-lemma", "gaussian-appendix", "gaussian-boundary",
+        "eisenstein-lemma", "eisenstein-appendix", "eisenstein-boundary"])
+def test_exact_predicates_int64_safe_at_max_radius(lat, mode, include_boundary):
+    """At MAX_EXACT_RADIUS the int64 predicates agree with unbounded ints, and
+    no intermediate of the unbounded run reaches 2^63."""
+    R = MAX_EXACT_RADIUS
+    # (1, 1, -2, 3) has ell^2 = 16 on the Eisenstein lattice; scaled by R/4
+    # it lies exactly on the length bound
+    on_bound = [(R // 4, R // 4), (-R // 2, 3 * R // 4)]
+    pts = sorted(set(_extreme_points(lat, R) + on_bound))
+
+    def as_objects(x):
+        if isinstance(x, np.ndarray):
+            return np.array([_Tracked(int(v)) for v in x], dtype=object)
+        return _Tracked(x)
+
+    _Tracked.peak = 0
+    exact = _predicates_on(lat, mode, include_boundary, R, pts, as_objects)
+    peak = _Tracked.peak
+    fast = _predicates_on(lat, mode, include_boundary, R, pts, lambda x: x)
+    assert fast == exact
+    assert any(any(row[0]) for row in exact), "no row is accepted"
+    assert R ** 4 < peak < 2 ** 63
+    if lat is E and mode == LEMMA:
+        (a, b), (c, d) = on_bound
+        accept = _accept_exact(lat, mode, R, a, b, np.array([c]), np.array([d]), include_boundary)[0]
+        assert accept.tolist() == [include_boundary]

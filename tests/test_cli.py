@@ -77,6 +77,17 @@ def test_inspect_invalid_tripod_exit4():
     assert "collinear" in cp.stderr
 
 
+def test_negative_coords_parsed_as_values():
+    # a separate value that starts with '-' is read as the value, like the '=' form
+    for coords in (["--coords", "-1,2,3,4"], ["--coords=-1,2,3,4"]):
+        cp = run("inspect", "--lattice", "gaussian", *coords)
+        assert cp.returncode == 4, cp.stderr
+        assert "orientation" in cp.stderr
+    cp = run("fiber", "--basis", "-1,0,0,1")
+    assert cp.returncode == 0, cp.stderr
+    assert json.loads(cp.stdout)["payload"]["basis"] == [-1, 0, 0, 1]
+
+
 def test_usage_error_exit2():
     cp = run("census", "--lattice", "nosuch", "--radius", "5")
     assert cp.returncode == 2

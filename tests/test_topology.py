@@ -181,6 +181,31 @@ def test_fiber_sublattice_index():
             (LatticeVector(1, 0), LatticeVector(0, 1)), G))}
 
 
+_NORM_FORMS = {"gaussian": lambda a, b: a * a + b * b,
+               "eisenstein": lambda a, b: a * a + a * b + b * b}
+
+
+@pytest.mark.parametrize("lat", [G, E], ids=["gaussian", "eisenstein"])
+def test_fiber_appendix_lift_has_largest_angle_at_origin(lat):
+    """An appendix member puts the strictly largest angle at the origin, under
+    its own lattice's norm form, unless no lift does (a tie, which falls back
+    to the sector rule); the member count equals lemma mode's."""
+    norm = _NORM_FORMS[lat.mode]
+
+    def largest_at_origin(a, b, c, d):
+        q0 = norm(a + c, b + d) - norm(a, b) - norm(c, d)
+        return min(norm(a, b), norm(c, d)) > q0
+
+    for basis in [(1, 0, 0, 1), (1, 1, -1, 1), (1, 0, 1, 2), (2, 1, -1, 1),
+                  (2, 0, 0, 2), (2, 1, -2, 1), (2, 2, -2, 1)]:
+        pair = (LatticeVector(*basis[:2]), LatticeVector(*basis[2:]))
+        members = fiber_tripods(pair, lat, mode="appendix")
+        assert len(members) == len(fiber_tripods(pair, lat, mode="lemma")), basis
+        for t in members:
+            assert (largest_at_origin(*t.coords)
+                    or not any(largest_at_origin(*lift) for lift in t.lifts())), (basis, t.coords)
+
+
 def test_fiber_rejects_dependent_basis():
     with pytest.raises(ValueError):
         fiber_tripods((LatticeVector(1, 1), LatticeVector(2, 2)), G)
