@@ -29,8 +29,8 @@ from .lattice import EISENSTEIN, GAUSSIAN, GENERAL, LatticeSpec
 LEMMA = "lemma"
 APPENDIX = "appendix"
 
-# Predicate intermediates are bounded by ~16 R^4; int64 holds that up to
-# R ~ 2.7e4.  The enforced limit leaves a wide margin.
+# Predicate intermediates are bounded by 48 R^4 (the Gaussian reducedness
+# test); int64 holds that up to R ~ 2.1e4.  The enforced limit leaves a margin.
 MAX_EXACT_RADIUS = 10_000
 
 
@@ -263,15 +263,18 @@ def _nonreduced_mask(lattice: LatticeSpec, a, b, c, d, n, prim):
     Eisenstein: the three leg directions u, zeta*w - z, zeta^{-1}*z - w are
     lattice vectors of squared norm ell^2, so a leg holds an interior lattice
     point iff content(direction) * (leg/ell) > 1; the junction is a lattice
-    point iff content(u) * (ell_1/ell) is a positive integer.  All tests are
-    pure integer arithmetic.
+    point iff content(u) * (ell_1/ell) is a positive integer.
 
-    Gaussian: a leg's supporting line meets the lattice only in isoceles
-    configurations (|z| = |w| for the 0-leg, |w|^2 = 2 Re(z w~) for the
-    z-leg, symmetrically for w); candidates are rare and go through the exact
-    segment-query classifier.
+    Gaussian: with x, y the other two vertices relative to a leg's vertex V,
+    the leg's line meets Z[i] only if |x| = |y|.  It then runs along
+    s = x + y = z + w - 3V with length (|s| - |x - y|/sqrt(3))/2, so its first
+    lattice point s/h (h = content of s) lies on it, junction included, iff
+    h > 2 and 3(h-2)^2 |s|^2 >= h^2 |x - y|^2; there |s|, h <= 2R, so the
+    products stay below 48 R^4.  The junction is never a lattice point: all
+    three legs would be isosceles, the triangle equilateral; the >= covers it.
 
-    General tau: the float classifier decides within epsilon (heuristic).
+    Both are pure integer tests.  General tau: the float classifier decides
+    within epsilon (heuristic).
     """
     if lattice.mode == GENERAL:
         out = np.zeros_like(prim)
@@ -298,12 +301,17 @@ def _nonreduced_mask(lattice: LatticeSpec, a, b, c, d, n, prim):
         pk = g1 * t1n
         junction = (pk % l2 == 0) & (pk >= l2)
         return prim & (legs | junction)
-    # Gaussian
-    candidate = prim & ((nz == nw) | (nw == q0) | (nz == q0))
+    zero = np.zeros_like(c)
     out = np.zeros_like(prim)
-    for k in np.nonzero(candidate)[0]:
-        tripod = geometry.Tripod.from_coords(lattice, a, b, int(c[k]), int(d[k]))
-        out[k] = not geometry.classify(tripod).reduced
+    # per leg: the screen |x| = |y|, the vertex V and |x - y|^2
+    for screen, vx, vy, side in ((nz == nw, zero, zero, nz + nw - q0),
+                                 (nw == q0, zero + a, zero + b, nw),
+                                 (nz == q0, c, d, zero + nz)):
+        k = np.flatnonzero(prim & screen)
+        sx = a + c[k] - 3 * vx[k]
+        sy = b + d[k] - 3 * vy[k]
+        h = np.gcd(np.abs(sx), np.abs(sy))
+        out[k] |= (h > 2) & (3 * (h - 2) * (h - 2) * (sx * sx + sy * sy) >= h * h * side[k])
     return out
 
 
@@ -371,12 +379,10 @@ def enumerate_tripods(lattice: LatticeSpec, radius: float, mode: str = LEMMA,
     """
     if not lattice.is_exact:
         raise ValueError("enumerate_tripods requires a preset lattice")
-    R = int(radius)
-    if R > MAX_EXACT_RADIUS:
-        raise OverflowLimitError(f"radius {R} exceeds {MAX_EXACT_RADIUS}")
-    pts = lattice_points_in_disk(lattice, R)
+    CensusConfig(lattice, radius, mode)  # the census's radius and mode checks
+    pts = lattice_points_in_disk(lattice, radius)
     rows = [np.column_stack([np.full(len(c), a), np.full(len(c), b), c, d])
-            for a, b, c, d, *_ in _scan(lattice, mode, R, pts, include_boundary)]
+            for a, b, c, d, *_ in _scan(lattice, mode, radius, pts, include_boundary)]
     return np.concatenate(rows) if rows else np.empty((0, 4), dtype=np.int64)
 
 def convergence_scan(lattice: LatticeSpec, radii: list[float], mode: str = LEMMA,

@@ -140,6 +140,25 @@ _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _SIGN_SAFE = 1_500_000_000
 
 
+def _orientation_signs(pv, v2, lam, ii, jj):
+    """Signs o1..o4 of the orientation tests of each (leg ii, leg jj + lambda) combo.
+
+    pv and v2 hold one row (xr, xs, yr, ys) of integer-pair coordinates per
+    vertex and lam one such column per combo.  Every cross coefficient is at
+    most 8 * max|pv| * max|q| with q = v2_jj + lambda - v2_ii, so int64
+    arrays give exact signs while that product stays below _SIGN_SAFE.
+    """
+    q = v2[jj].T + lam - v2[ii].T
+
+    def cross_sign(p, q):
+        alpha = p[0] * q[2] + 3 * p[1] * q[3] - p[2] * q[0] - 3 * p[3] * q[1]
+        beta = p[0] * q[3] + p[1] * q[2] - p[2] * q[1] - p[3] * q[0]
+        return _sign_root3_vec(alpha, beta)
+
+    pi, pj = pv[ii].T, pv[jj].T
+    return cross_sign(pi, q), cross_sign(pi, lam), -cross_sign(pj, q), -cross_sign(pj, lam)
+
+
 def self_intersections(tripod: Tripod, lattice: LatticeSpec | None = None) -> ImmersionReport:
     """Count transverse self-intersection points of the tripod on the torus.
 
@@ -166,7 +185,7 @@ def self_intersections(tripod: Tripod, lattice: LatticeSpec | None = None) -> Im
     m = lam_all[:, 0]
     nn = lam_all[:, 1]
     lam_nsq = lat._norm(m, nn)
-    (l2x_r, l2x_s), (l2y_r, l2y_s) = lat._doubled(m, nn)
+    lam2 = np.stack([x for comp in lat._doubled(m, nn) for x in comp])
     nonzero = (m != 0) | (nn != 0)
 
     # assemble one row set over all (leg pair, translate) combos
@@ -185,10 +204,10 @@ def self_intersections(tripod: Tripod, lattice: LatticeSpec | None = None) -> Im
     ii = np.array([p[0] for p in _PAIRS], dtype=np.int64)[pair_of]
     jj = np.array([p[1] for p in _PAIRS], dtype=np.int64)[pair_of]
 
-    max_pv = max(abs(x) for pv in pvs for comp in pv for x in comp)
-    max_lam2 = int(np.max(np.abs(np.stack([l2x_r, l2x_s, l2y_r, l2y_s])))) if len(m) else 0
-    max_v2 = max(abs(x) for v2 in v2s for comp in v2 for x in comp)
-    max_q = 2 * max_v2 + max_lam2
+    pv = [[x for comp in p for x in comp] for p in pvs]
+    v2 = [[x for comp in v for x in comp] for v in v2s]
+    max_pv = max(abs(x) for row in pv for x in row)
+    max_q = 2 * max(abs(x) for row in v2 for x in row) + int(np.max(np.abs(lam2)))
     use_vector = 8 * max_pv * max_q < _SIGN_SAFE and len(idx) > 0
 
     crossings: list[tuple[int, int, int, int]] = []
@@ -197,33 +216,8 @@ def self_intersections(tripod: Tripod, lattice: LatticeSpec | None = None) -> Im
     reason = None
 
     if use_vector:
-        v2xr = np.array([v2[0][0] for v2 in v2s], dtype=np.int64)
-        v2xs = np.array([v2[0][1] for v2 in v2s], dtype=np.int64)
-        v2yr = np.array([v2[1][0] for v2 in v2s], dtype=np.int64)
-        v2ys = np.array([v2[1][1] for v2 in v2s], dtype=np.int64)
-        pvxr = np.array([pv[0][0] for pv in pvs], dtype=np.int64)
-        pvxs = np.array([pv[0][1] for pv in pvs], dtype=np.int64)
-        pvyr = np.array([pv[1][0] for pv in pvs], dtype=np.int64)
-        pvys = np.array([pv[1][1] for pv in pvs], dtype=np.int64)
-
-        lxr, lxs = l2x_r[idx], l2x_s[idx]
-        lyr, lys = l2y_r[idx], l2y_s[idx]
-        qcxr = v2xr[jj] + lxr - v2xr[ii]
-        qcxs = v2xs[jj] + lxs - v2xs[ii]
-        qcyr = v2yr[jj] + lyr - v2yr[ii]
-        qcys = v2ys[jj] + lys - v2ys[ii]
-
-        def cross_sign(sel, qxr, qxs, qyr, qys):
-            alpha = (pvxr[sel] * qyr + 3 * pvxs[sel] * qys
-                     - pvyr[sel] * qxr - 3 * pvys[sel] * qxs)
-            beta = (pvxr[sel] * qys + pvxs[sel] * qyr
-                    - pvyr[sel] * qxs - pvys[sel] * qxr)
-            return _sign_root3_vec(alpha, beta)
-
-        o1 = cross_sign(ii, qcxr, qcxs, qcyr, qcys)
-        o2 = cross_sign(ii, lxr, lxs, lyr, lys)
-        o3 = -cross_sign(jj, qcxr, qcxs, qcyr, qcys)
-        o4 = -cross_sign(jj, lxr, lxs, lyr, lys)
+        o1, o2, o3, o4 = _orientation_signs(np.array(pv, dtype=np.int64),
+                                            np.array(v2, dtype=np.int64), lam2[:, idx], ii, jj)
         proper = (o1 * o2 < 0) & (o3 * o4 < 0)
         anyzero = (o1 == 0) | (o2 == 0) | (o3 == 0) | (o4 == 0)
         for k in np.nonzero(proper)[0]:

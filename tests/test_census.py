@@ -3,6 +3,8 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tripods.census import (
     APPENDIX,
@@ -12,6 +14,7 @@ from tripods.census import (
     OverflowLimitError,
     _accept_exact,
     _nonreduced_mask,
+    _scan,
     census,
     convergence_scan,
     enumerate_tripods,
@@ -19,7 +22,7 @@ from tripods.census import (
     nonreduced_census,
     random_lattice_experiment,
 )
-from tripods.geometry import Tripod, classify
+from tripods.geometry import InvalidTripodError, Tripod, classify
 from tripods.lattice import eisenstein_lattice, gaussian_lattice, general_lattice
 
 G = gaussian_lattice()
@@ -218,6 +221,70 @@ def test_reduced_classification_matches_exact():
         assert exact_nonred == rep.nonreduced_primitive
 
 
+@pytest.mark.parametrize("mode, golden20, golden35", [(LEMMA, 592, 2276), (APPENDIX, 100, 504)])
+def test_gaussian_reducedness_matches_classify(mode, golden20, golden35):
+    """The integer reducedness test agrees with the exact segment queries of
+    `classify` on every primitive isosceles tripod with ell < 20, and flags
+    no tuple that is not isosceles."""
+    R = 20
+    nonreduced = 0
+    for a, b, c, d, n, *_ in _scan(G, mode, R, lattice_points_in_disk(G, R)):
+        prim = np.gcd(gcd(a, b), np.gcd(c, d)) == 1
+        mask = _nonreduced_mask(G, a, b, c, d, n, prim)
+        sides = (a * a + b * b, c * c + d * d, (a - c) ** 2 + (b - d) ** 2)
+        isosceles = prim & ((sides[0] == sides[1]) | (sides[1] == sides[2])
+                            | (sides[2] == sides[0]))
+        assert not (mask & ~isosceles).any()
+        for k in np.flatnonzero(isosceles):
+            tripod = Tripod.from_coords(G, a, b, int(c[k]), int(d[k]))
+            assert mask[k] == (not classify(tripod).reduced), tripod.coords
+        nonreduced += int(np.count_nonzero(mask))
+    assert nonreduced == golden20
+    counts = nonreduced_census(G, 35, mode=mode)["counts"]
+    assert counts["nonreduced_primitive"] == golden35
+
+
+# rotation by the unit i (Gaussian) or e^{i*pi/3} (Eisenstein), and the
+# reflection a + b*tau -> conj, in lattice coordinates
+_UNIT = {"gaussian": lambda a, b: (-b, a), "eisenstein": lambda a, b: (-b, a + b)}
+_CONJ = {"gaussian": lambda a, b: (a, -b), "eisenstein": lambda a, b: (a + b, -b)}
+
+
+def _nonreduced_flag(lat, a, b, c, d, wrap=lambda x: x):
+    args = (a, b, np.array([c]), np.array([d]), np.array([a * d - b * c]))
+    return bool(_nonreduced_mask(lat, *map(wrap, args), np.array([True]))[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(lat=st.sampled_from([G, E]),
+       z=st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+       w=st.none() | st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+       turns=st.integers(0, 5), reflect=st.booleans(), lifts=st.integers(0, 2))
+def test_reducedness_invariant_under_lifts_and_units(lat, z, w, turns, reflect, lifts):
+    """The nonreduced flag is a property of the torus tripod: it agrees with
+    `classify` and survives the cyclic lifts and rotation by a unit.  w = None
+    draws an isosceles tripod, w being an image of z under the point group."""
+    if w is None:
+        w = _CONJ[lat.mode](*z) if reflect else z
+        for _ in range(turns):
+            w = _UNIT[lat.mode](*w)
+    coords = (*z, *w) if z[0] * w[1] - z[1] * w[0] > 0 else (*w, *z)
+    for _ in range(lifts):
+        a, b, c, d = coords
+        coords = (c - a, d - b, -a, -b)
+    try:
+        tripod = Tripod.from_coords(lat, *coords)
+    except InvalidTripodError:
+        assume(False)
+    assume(gcd(*coords) == 1)
+    flag = _nonreduced_flag(lat, *coords)
+    assert flag == (not classify(tripod).reduced)
+    for lift in tripod.lifts():
+        assert _nonreduced_flag(lat, *lift) == flag
+    a, b, c, d = coords
+    assert _nonreduced_flag(lat, *_UNIT[lat.mode](a, b), *_UNIT[lat.mode](c, d)) == flag
+
+
 def test_length_predicate_exact_vs_float_random():
     rng = np.random.Generator(np.random.PCG64(7))
     R = 20
@@ -245,6 +312,14 @@ def test_appendix_requires_gaussian():
 def test_non_integer_radius_rejected_on_exact_lattice():
     with pytest.raises(ValueError):
         CensusConfig(lattice=G, radius=5.5)
+
+
+def test_enumerate_tripods_validates_radius_like_census():
+    with pytest.raises(ValueError, match="integer radius"):
+        enumerate_tripods(G, 7.9)
+    with pytest.raises(OverflowLimitError):
+        enumerate_tripods(E, MAX_EXACT_RADIUS + 1)
+    assert np.array_equal(enumerate_tripods(G, 7.0), enumerate_tripods(G, 7))
 
 
 def test_general_tau_census_heuristic():
@@ -323,27 +398,6 @@ def test_disk_enumeration_counts():
 # -- the int64 bound of the exact predicates, checked -------------------------
 
 
-class _Tracked(int):
-    """A Python int whose arithmetic results record the largest magnitude."""
-
-    peak = 0
-
-
-def _tracked(value):
-    if value is NotImplemented:   # the other operand is an array
-        return value
-    _Tracked.peak = max(_Tracked.peak, abs(int(value)))
-    return _Tracked(value)
-
-
-for _name in ("add", "sub", "mul", "floordiv", "mod"):
-    for _dunder in (f"__{_name}__", f"__r{_name}__"):
-        setattr(_Tracked, _dunder,
-                lambda self, other, _op=getattr(int, _dunder): _tracked(_op(self, other)))
-_Tracked.__neg__ = lambda self: _tracked(-int(self))
-_Tracked.__abs__ = lambda self: _tracked(abs(int(self)))
-
-
 def _extreme_points(lat, R):
     """Lattice points near |z| = R, 0.55 R and 0.3 R in 48 directions."""
     pts = set()
@@ -384,7 +438,7 @@ def _predicates_on(lat, mode, include_boundary, R, pts, wrap):
     (E, LEMMA, False), (E, APPENDIX, False), (E, LEMMA, True),
 ], ids=["gaussian-lemma", "gaussian-appendix", "gaussian-boundary",
         "eisenstein-lemma", "eisenstein-appendix", "eisenstein-boundary"])
-def test_exact_predicates_int64_safe_at_max_radius(lat, mode, include_boundary):
+def test_exact_predicates_int64_safe_at_max_radius(lat, mode, include_boundary, tracked):
     """At MAX_EXACT_RADIUS the int64 predicates agree with unbounded ints, and
     no intermediate of the unbounded run reaches 2^63."""
     R = MAX_EXACT_RADIUS
@@ -393,15 +447,24 @@ def test_exact_predicates_int64_safe_at_max_radius(lat, mode, include_boundary):
     on_bound = [(R // 4, R // 4), (-R // 2, 3 * R // 4)]
     pts = sorted(set(_extreme_points(lat, R) + on_bound))
 
-    def as_objects(x):
-        if isinstance(x, np.ndarray):
-            return np.array([_Tracked(int(v)) for v in x], dtype=object)
-        return _Tracked(x)
-
-    _Tracked.peak = 0
-    exact = _predicates_on(lat, mode, include_boundary, R, pts, as_objects)
-    peak = _Tracked.peak
+    exact = _predicates_on(lat, mode, include_boundary, R, pts, tracked.wrap)
+    family = []
+    if lat is G:
+        # z = (p, q), w = (q, p) with |z| just under R: isosceles at the
+        # origin, and z + w has the large content p + q, so the 0-leg holds a
+        # lattice point; these tuples are longer than R, hence not in `pts`
+        for q in range(R // 2, R // 2 + 40):
+            p = math.isqrt(R * R - q * q)
+            if gcd(p, q) == 1:
+                family.append((p, q, q, p))
+        exact.append([_nonreduced_flag(lat, *t, wrap=tracked.wrap) for t in family])
+        # the reducedness products exceed the 16 R^4 of the other predicates
+        assert tracked.peak > 16 * R ** 4
+    peak = tracked.peak
     fast = _predicates_on(lat, mode, include_boundary, R, pts, lambda x: x)
+    if family:
+        fast.append([_nonreduced_flag(lat, *t) for t in family])
+        assert any(exact[-1]), "no isosceles tuple is flagged nonreduced"
     assert fast == exact
     assert any(any(row[0]) for row in exact), "no row is accepted"
     assert R ** 4 < peak < 2 ** 63

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from tripods.census import enumerate_tripods
@@ -127,6 +128,52 @@ def test_exact_fallback_matches_vectorized(monkeypatch):
     slow = [self_intersections(Tripod.from_coords(lat, *c)) for lat, c in cases]
     assert [(r.intersections, r.degenerate) for r in base] == \
         [(r.intersections, r.degenerate) for r in slow]
+
+
+def test_orientation_signs_int64_safe_at_sign_safe(tracked):
+    """Inputs that put 8 * max|pv| * max|q| just below _SIGN_SAFE, in every
+    sign pattern: int64 signs equal the unbounded ones and no intermediate
+    reaches 2^63."""
+    import tripods.topology as topo
+
+    M = 1500
+    V = (topo._SIGN_SAFE - 1) // (8 * M) // 4
+    L = (topo._SIGN_SAFE - 1) // (8 * M) - 2 * V
+    pv = np.array([[M, M, -M, -M], [M, -M, M, -M], [-M, M, M, M]])
+    v2 = np.array([[V, V, V, V], [-V, -V, -V, -V], [V, -V, V, -V]])
+    signs = np.array([[(k >> bit & 1) * 2 - 1 for k in range(16)] for bit in range(4)])
+    ii, jj = (x.ravel() for x in np.meshgrid(range(3), range(3), range(16))[:2])
+    lam = L * np.tile(signs, 9)
+    max_q = 2 * V + L
+    assert topo._SIGN_SAFE - 8 * M <= 8 * M * max_q < topo._SIGN_SAFE
+    exact = topo._orientation_signs(*map(tracked.wrap, (pv, v2, lam)), ii, jj)
+    fast = topo._orientation_signs(pv, v2, lam, ii, jj)
+    assert all(np.array_equal(f, e) for f, e in zip(fast, exact))
+    assert 2 ** 60 < tracked.peak < 2 ** 63
+
+
+def test_self_intersections_int64_safe_near_sign_safe(tracked, monkeypatch):
+    """A tripod whose guard 8 * max|pv| * max|q| is within 10% of _SIGN_SAFE
+    takes the vectorized path, whose signs equal those of unbounded ints, and
+    no intermediate of the unbounded run reaches 2^63."""
+    import tripods.topology as topo
+
+    vector = topo._orientation_signs
+    guards = []
+
+    def checked(pv, v2, lam, ii, jj):
+        guards.append(8 * int(np.abs(pv).max()) * int(2 * np.abs(v2).max() + np.abs(lam).max()))
+        fast = vector(pv, v2, lam, ii, jj)
+        exact = vector(*map(tracked.wrap, (pv, v2, lam)), ii, jj)
+        assert all(np.array_equal(f, e) for f, e in zip(fast, exact))
+        return fast
+
+    monkeypatch.setattr(topo, "_orientation_signs", checked)
+    # a long thin tripod: the guard grows like ell^4 and the combos like ell^2
+    rep = self_intersections(Tripod.from_coords(G, 0, 1, -44, 2))
+    assert len(guards) == 1 and 0.9 * topo._SIGN_SAFE < guards[0] < topo._SIGN_SAFE
+    assert 2 ** 50 < tracked.peak < 2 ** 63
+    assert rep.intersections > 0 and not rep.degenerate
 
 
 def test_report_euler_arithmetic():
