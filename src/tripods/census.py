@@ -25,6 +25,7 @@ import numpy as np
 
 from . import geometry
 from .lattice import EISENSTEIN, GAUSSIAN, GENERAL, LatticeSpec
+from .quadratic import _sign_root3_vec
 
 LEMMA = "lemma"
 APPENDIX = "appendix"
@@ -116,14 +117,6 @@ class CensusReport:
         return body
 
 
-def _sign_root3_vec(alpha, beta):
-    """Vectorized sign of alpha + beta*sqrt(3) for int64 arrays."""
-    sa = np.sign(alpha)
-    sb = np.sign(beta)
-    opp = sa * np.sign(alpha * alpha - 3 * beta * beta)
-    return np.where(beta == 0, sa, np.where(alpha == 0, sb, np.where(sa == sb, sa, opp)))
-
-
 def lattice_points_in_disk(lattice: LatticeSpec, radius: float) -> np.ndarray:
     """All nonzero lattice points with |a + b*tau| <= radius, as an (N,2) array.
 
@@ -139,6 +132,27 @@ def lattice_points_in_disk(lattice: LatticeSpec, radius: float) -> np.ndarray:
     nsq = lattice._norm(ra[:, None], rb[None, :])
     i, j = np.nonzero((nsq <= r2) & (nsq > 0))
     return np.stack([ra[i], rb[j]], axis=1)
+
+
+def _sector(lattice: LatticeSpec, a, b, c, d):
+    """(sector, on_boundary): arg(u) in [0, 2*pi/3) for the Toricelli point u.
+
+    The sector is half-open: it keeps the ray uy = 0, ux > 0 and drops the ray
+    sqrt(3)*ux + uy = 0; `on_boundary` flags u on either ray.  Works on int64
+    arrays and on Python ints alike (preset lattices only).
+    """
+    # u in the coordinates where each lattice's sign test is cheapest (same
+    # reason as the length test of _accept_exact)
+    if lattice.mode == GAUSSIAN:
+        s_uy = _sign_root3_vec(b + d, a - c)
+        s_ray = _sign_root3_vec(2 * d - b, a + 0 * d)
+        s_ux = _sign_root3_vec(a + c, d - b)
+        sector = ((s_uy > 0) & (s_ray > 0)) | ((s_uy == 0) & (s_ux > 0))
+        return sector, (s_uy == 0) | (s_ray == 0)
+    um = -b + c + d
+    un = a + b - c
+    sector = ((un > 0) & (um + un > 0)) | ((un == 0) & (um > 0))
+    return sector, (un == 0) | (um + un == 0)
 
 
 def _accept_exact(lattice: LatticeSpec, mode, R, a, b, c, d, include_boundary=False):
@@ -173,19 +187,7 @@ def _accept_exact(lattice: LatticeSpec, mode, R, a, b, c, d, include_boundary=Fa
         zeros = np.zeros_like(angles)
         return angles & (np.minimum(nz, nw) > q0), n, zeros, zeros
 
-    # the sector of u, in the coordinates where each lattice's sign test is
-    # cheapest (same reason as the length test)
-    if lattice.mode == GAUSSIAN:
-        s_uy = _sign_root3_vec(b + d, a - c)
-        s_ray = _sign_root3_vec(2 * d - b, a + 0 * d)
-        s_ux = _sign_root3_vec(a + c, d - b)
-        sector = ((s_uy > 0) & (s_ray > 0)) | ((s_uy == 0) & (s_ux > 0))
-        on_boundary = (s_uy == 0) | (s_ray == 0)
-    else:
-        um = -b + c + d
-        un = a + b - c
-        sector = ((un > 0) & (um + un > 0)) | ((un == 0) & (um > 0))
-        on_boundary = (un == 0) | (um + un == 0)
+    sector, on_boundary = _sector(lattice, a, b, c, d)
     # tie diagnostics: largest angle not unique <=> two side lengths tie for
     # longest (side lengths nw, nz, nzw oppose the angles at z, w, 0)
     longest0 = (nzw >= nz) & (nzw >= nw)
@@ -385,8 +387,8 @@ def enumerate_tripods(lattice: LatticeSpec, radius: float, mode: str = LEMMA,
             for a, b, c, d, *_ in _scan(lattice, mode, radius, pts, include_boundary)]
     return np.concatenate(rows) if rows else np.empty((0, 4), dtype=np.int64)
 
-def convergence_scan(lattice: LatticeSpec, radii: list[float], mode: str = LEMMA,
-                     threads: int = 1) -> list[dict]:
+
+def convergence_scan(lattice: LatticeSpec, radii: list[float], mode: str = LEMMA) -> list[dict]:
     """One census per radius with the covolume-normalized error column.
 
     The reference density 15*sqrt(3)/(4*pi^3) applies to unit-covolume
@@ -399,7 +401,7 @@ def convergence_scan(lattice: LatticeSpec, radii: list[float], mode: str = LEMMA
     covol = lattice.covolume
     rows = []
     for r in radii:
-        rep = census(CensusConfig(lattice=lattice, radius=r, mode=mode, threads=threads))
+        rep = census(CensusConfig(lattice=lattice, radius=r, mode=mode))
         normalized = rep.primitive * covol ** 2 / r ** 4
         rows.append({
             "R": r,
@@ -442,8 +444,7 @@ def nonreduced_census(lattice: LatticeSpec, radius: float, threads: int = 1,
     return out
 
 
-def random_lattice_experiment(sample_count: int, radius: float, seed: int,
-                              threads: int = 1) -> dict:
+def random_lattice_experiment(sample_count: int, radius: float, seed: int) -> dict:
     """Heuristic survey of nonreduced counts over random general-tau lattices.
 
     tau = s + it is sampled uniformly from s in [0, 1), t in [0.5, 1.5];
@@ -457,8 +458,7 @@ def random_lattice_experiment(sample_count: int, radius: float, seed: int,
         s = float(taus[k, 0])
         t = 0.5 + float(taus[k, 1])
         lat = LatticeSpec(GENERAL, s, t)
-        rep = census(CensusConfig(lattice=lat, radius=radius,
-                                  classify_reduced=True, threads=threads))
+        rep = census(CensusConfig(lattice=lat, radius=radius, classify_reduced=True))
         counts.append(int(rep.nonreduced_primitive))
     histogram: dict[int, int] = {}
     for v in counts:

@@ -33,14 +33,18 @@ EXIT_OVERFLOW = 3
 EXIT_INVALID_TRIPOD = 4
 
 
-def _default_threads() -> int:
-    env = os.environ.get("TRIPOD_THREADS")
-    if env:
+def _resolve_threads(args) -> None:
+    """Fill --threads from TRIPOD_THREADS (or 1) and reject a count below 1."""
+    if getattr(args, "threads", 1) is None:
+        env = os.environ.get("TRIPOD_THREADS") or "1"
         try:
-            return max(1, int(env))
+            args.threads = int(env)
         except ValueError:
-            pass
-    return 1
+            args.threads = 0
+        if args.threads < 1:
+            raise ValueError(f"TRIPOD_THREADS must be a positive integer, got {env!r}")
+    if getattr(args, "threads", 1) < 1:
+        raise ValueError("thread count must be positive")
 
 
 def _emit(args, envelope_obj: dict, csv_text: str | None = None) -> None:
@@ -143,7 +147,7 @@ def cmd_convergence(args) -> int:
     radii = [float(r) if not r.is_integer() else int(r)
              for r in (float(x) for x in args.radii.split(","))]
     mode = APPENDIX if args.mode == "appendix" else LEMMA
-    rows = convergence_scan(lattice, radii, mode=mode, threads=args.threads)
+    rows = convergence_scan(lattice, radii, mode=mode)
     reference = analytics.reference_constants()["main_constant"]
     payload = {
         "mode": mode,
@@ -214,8 +218,7 @@ def cmd_fiber(args) -> int:
 
 
 def cmd_random_lattice(args) -> int:
-    payload = random_lattice_experiment(args.samples, args.radius, args.seed,
-                                        threads=args.threads)
+    payload = random_lattice_experiment(args.samples, args.radius, args.seed)
     env = reporting.envelope("random-lattice", "random-tau", payload, seed=args.seed)
     _emit(args, env)
     return EXIT_OK
@@ -226,10 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tripods",
         description="Exact census of immersed tripods on flat tori")
     sub = parser.add_subparsers(dest="command", required=True)
-    threads_default = _default_threads()
 
     def add_common(p, fmt=True):
-        p.add_argument("--threads", type=int, default=threads_default,
+        p.add_argument("--threads", type=int, default=None,
                        help="echoed in the report; the census runs on one thread "
                             "(default: TRIPOD_THREADS or 1)")
         p.add_argument("--out", help="write the report to a file instead of stdout")
@@ -249,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inspect", help="full geometry of one tripod")
     p.add_argument("--lattice", required=True)
     p.add_argument("--coords", required=True, help="a,b,c,d")
-    p.add_argument("--threads", type=int, default=threads_default)
+    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_inspect, format="json")
 
@@ -284,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--radius", type=float, default=10.0)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=threads_default)
+    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_random_lattice, format="json")
 
@@ -309,6 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
+        _resolve_threads(args)
         return args.func(args)
     except OverflowLimitError as exc:
         print(f"overflow: {exc}", file=sys.stderr)

@@ -20,6 +20,7 @@ EISENSTEIN = "eisenstein"
 GENERAL = "general"
 
 _HALF = Fraction(1, 2)
+_TWO_ROOT3_OVER_3 = QuadraticNumber(0, Fraction(2, 3))
 
 
 @dataclass(frozen=True)
@@ -78,10 +79,8 @@ class LatticeSpec:
             return point.x, point.y
         if self.mode == EISENSTEIN:
             # y = b*sqrt(3)/2  =>  b = (2/3)*sqrt(3)*y ; a = x - b/2
-            y = point.y
-            b = QuadraticNumber(2 * y.root3, Fraction(2, 3) * y.rational)
-            a = point.x - b * QuadraticNumber(_HALF)
-            return a, b
+            b = point.y * _TWO_ROOT3_OVER_3
+            return point.x - b * _HALF, b
         raise ValueError("exact coordinates only available in preset modes")
 
     def to_lattice_coords_float(self, x: float, y: float) -> tuple[float, float]:

@@ -5,28 +5,28 @@ any index formula: the three legs are lifted to plane segments and every pair
 (leg_i, leg_j + lambda) over nearby lattice translates lambda is tested for a
 transverse interior crossing with exact orientation predicates.
 
-Exactness scheme: all points are scaled by twice the positive Q(sqrt(3))
-denominator of the junction point, turning every coordinate into an integer
-pair (alpha, beta) = alpha + beta*sqrt(3).  The bulk of the orientation signs
-is evaluated with vectorized int64 arithmetic (the junction enters each cross
-product only once, which keeps coefficients small); combos where a sign
-vanishes (touching or collinear configurations) are re-examined with
-unbounded Python integers, as are the exact crossing points used to detect
-coincident intersections.
+Exactness scheme: one vectorized pass computes the four orientation signs of
+every (leg pair, translate) combo.  Points are scaled by twice the positive
+Q(sqrt(3)) denominator of the junction point, so every coordinate is an
+integer pair (alpha, beta) = alpha + beta*sqrt(3); the pass runs on int64
+arrays while a guard on the coefficient sizes proves them exact, and on
+arrays of Python ints past it.  A combo whose sign vanishes (touching or
+collinear legs) is re-examined exactly, in lattice coordinates with
+QuadraticNumber entries, and each crossing is keyed by its lattice
+coordinates reduced mod 1, which detects coincident intersections.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .census import _sign_root3_vec, lattice_points_in_disk
-from .geometry import InvalidTripodError, Tripod, angle_condition, toricelli_point
-from .lattice import EISENSTEIN, GAUSSIAN, LatticeSpec, LatticeVector
-from .quadratic import QuadraticNumber, sign_root3
+from .census import _sector, lattice_points_in_disk
+from .geometry import InvalidTripodError, Tripod, angle_condition
+from .lattice import GAUSSIAN, LatticeSpec, LatticeVector
+from .quadratic import VEC_ZERO, Vec2, _sign_root3_vec
 
 
 @dataclass(frozen=True)
@@ -63,32 +63,8 @@ def _pmul(x, y):
     return (x[0] * y[0] + 3 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
 
-def _padd(x, y):
-    return (x[0] + y[0], x[1] + y[1])
-
-
 def _psub(x, y):
     return (x[0] - y[0], x[1] - y[1])
-
-
-def _vsub(u, v):
-    return (_psub(u[0], v[0]), _psub(u[1], v[1]))
-
-
-def _vadd(u, v):
-    return (_padd(u[0], v[0]), _padd(u[1], v[1]))
-
-
-def _vcross(u, v):
-    return _psub(_pmul(u[0], v[1]), _pmul(u[1], v[0]))
-
-
-def _vdot(u, v):
-    return _padd(_pmul(u[0], v[0]), _pmul(u[1], v[1]))
-
-
-def _psign(x) -> int:
-    return sign_root3(x[0], x[1])
 
 
 def _leg_data(tripod: Tripod):
@@ -146,7 +122,8 @@ def _orientation_signs(pv, v2, lam, ii, jj):
     pv and v2 hold one row (xr, xs, yr, ys) of integer-pair coordinates per
     vertex and lam one such column per combo.  Every cross coefficient is at
     most 8 * max|pv| * max|q| with q = v2_jj + lambda - v2_ii, so int64
-    arrays give exact signs while that product stays below _SIGN_SAFE.
+    arrays give exact signs while that product stays below _SIGN_SAFE;
+    object arrays of Python ints give exact signs at any size.
     """
     q = v2[jj].T + lam - v2[ii].T
 
@@ -174,7 +151,7 @@ def self_intersections(tripod: Tripod, lattice: LatticeSpec | None = None) -> Im
         return ImmersionReport.from_count(0, True, "junction point is a lattice point")
     u2, tpair, dpair, v2s = _leg_data(tripod)
     pvs = _pv_vectors(u2, tpair, dpair, v2s)
-    exact = _ExactLegGeometry(lat, pvs, dpair, v2s)
+    exact = _ExactLegGeometry(tripod, Vec2(pa, pb))
     leg_len = tripod.leg_lengths()
 
     pair_bounds = [leg_len[i] + leg_len[j] for (i, j) in _PAIRS]
@@ -208,42 +185,26 @@ def self_intersections(tripod: Tripod, lattice: LatticeSpec | None = None) -> Im
     v2 = [[x for comp in v for x in comp] for v in v2s]
     max_pv = max(abs(x) for row in pv for x in row)
     max_q = 2 * max(abs(x) for row in v2 for x in row) + int(np.max(np.abs(lam2)))
-    use_vector = 8 * max_pv * max_q < _SIGN_SAFE and len(idx) > 0
+    dtype = np.int64 if 8 * max_pv * max_q < _SIGN_SAFE else object
+    o1, o2, o3, o4 = _orientation_signs(np.array(pv, dtype=dtype), np.array(v2, dtype=dtype),
+                                        lam2[:, idx].astype(dtype), ii, jj)
+    proper = (o1 * o2 < 0) & (o3 * o4 < 0)
+    anyzero = (o1 == 0) | (o2 == 0) | (o3 == 0) | (o4 == 0)
 
-    crossings: list[tuple[int, int, int, int]] = []
-    suspect: list[tuple[int, int, int, int]] = []
     degenerate = False
     reason = None
-
-    if use_vector:
-        o1, o2, o3, o4 = _orientation_signs(np.array(pv, dtype=np.int64),
-                                            np.array(v2, dtype=np.int64), lam2[:, idx], ii, jj)
-        proper = (o1 * o2 < 0) & (o3 * o4 < 0)
-        anyzero = (o1 == 0) | (o2 == 0) | (o3 == 0) | (o4 == 0)
-        for k in np.nonzero(proper)[0]:
-            crossings.append((int(ii[k]), int(jj[k]), int(lam_all[idx[k], 0]),
-                              int(lam_all[idx[k], 1])))
-        for k in np.nonzero(anyzero)[0]:
-            suspect.append((int(ii[k]), int(jj[k]), int(lam_all[idx[k], 0]),
-                            int(lam_all[idx[k], 1])))
-    else:
-        for k in range(len(idx)):
-            suspect.append((int(ii[k]), int(jj[k]), int(lam_all[idx[k], 0]),
-                            int(lam_all[idx[k], 1])))
-
-    for (i, j, lm, ln) in suspect:
-        verdict, why = exact.examine(i, j, lm, ln)
-        if verdict == "crossing":
-            crossings.append((i, j, lm, ln))
-        elif verdict == "degenerate":
+    for k in np.nonzero(anyzero)[0]:
+        why = exact.examine(int(ii[k]), int(jj[k]), *lam_all[idx[k]].tolist(),
+                            (o1[k], o2[k], o3[k], o4[k]))
+        if why is not None:
             degenerate = True
             reason = reason or why
 
     # dedupe by exact torus point; multiplicity > 1 means three or more
     # strands meet there and the transversal double-point picture fails
     points: dict[tuple, int] = {}
-    for (i, j, lm, ln) in crossings:
-        key = exact.crossing_key(i, j, lm, ln)
+    for k in np.nonzero(proper)[0]:
+        key = exact.crossing_key(int(ii[k]), int(jj[k]), *lam_all[idx[k]].tolist())
         points[key] = points.get(key, 0) + 1
     if any(v != 1 for v in points.values()):
         degenerate = True
@@ -252,102 +213,58 @@ def self_intersections(tripod: Tripod, lattice: LatticeSpec | None = None) -> Im
 
 
 class _ExactLegGeometry:
-    """Exact examination of single combos in scaled integer coordinates.
+    """Exact examination of single combos, in lattice coordinates.
 
-    Every point is scaled by 2*dpair > 0: lattice points become v2*dpair,
-    the junction becomes tpair*u2, and all predicates are integer sign tests
-    with unbounded Python integers.
+    Leg i runs from vertex v_i (0, z or w) to the junction p; a translate
+    lambda shifts leg j to (v_j + lambda, p + lambda).  The basis map
+    (m, n) -> m + n*tau is linear with positive determinant, so it keeps
+    orientations, the order of points on a line and the parameter of a
+    crossing: every test runs on lattice coordinates, where the vertices
+    and translates are integers and only p has QuadraticNumber entries.
     """
 
-    def __init__(self, lattice: LatticeSpec, pvs, dpair, v2s):
-        self.lattice = lattice
-        self.dpair = dpair
-        self.p_scaled = None
-        self.v_scaled = []
-        for v2 in v2s:
-            self.v_scaled.append((_pmul(v2[0], dpair), _pmul(v2[1], dpair)))
-        # p*2dpair = PV_0 since v_0 = 0
-        self.p_scaled = pvs[0]
-
-    def _lam_scaled(self, lm: int, ln: int):
-        l2 = self.lattice._doubled(lm, ln)
-        return (_pmul(l2[0], self.dpair), _pmul(l2[1], self.dpair))
-
-    def _segments(self, i, j, lm, ln):
-        lam = self._lam_scaled(lm, ln)
-        return (self.v_scaled[i], self.p_scaled,
-                _vadd(self.v_scaled[j], lam), _vadd(self.p_scaled, lam))
-
-    @staticmethod
-    def _orient(p0, p1, p2) -> int:
-        return _psign(_vcross(_vsub(p1, p0), _vsub(p2, p0)))
+    def __init__(self, tripod: Tripod, p: Vec2):
+        a, b, c, d = tripod.coords
+        self.v = (VEC_ZERO, Vec2(a, b), Vec2(c, d))
+        self.p = p
+        self.legs = tuple(p - v for v in self.v)
 
     @staticmethod
     def _strictly_inside(p0, p1, x) -> bool:
         """x strictly interior to [p0, p1], collinearity already established."""
-        return (_psign(_vdot(_vsub(x, p0), _vsub(p1, p0))) > 0
-                and _psign(_vdot(_vsub(x, p1), _vsub(p0, p1))) > 0)
+        seg = p1 - p0
+        return 0 < (x - p0).dot(seg) < seg.norm_sq()
 
-    def examine(self, i, j, lm, ln):
-        a0, b0, c0, d0 = self._segments(i, j, lm, ln)
-        o1 = self._orient(a0, b0, c0)
-        o2 = self._orient(a0, b0, d0)
-        o3 = self._orient(c0, d0, a0)
-        o4 = self._orient(c0, d0, b0)
-        if o1 * o2 < 0 and o3 * o4 < 0:
-            return "crossing", None
+    def examine(self, i, j, lm, ln, signs):
+        """Degenerate reason of a combo with a vanishing orientation sign, or None.
+
+        signs are o1..o4 from _orientation_signs: the orientations of c0 and
+        d0 against leg a0b0, then of a0 and b0 against leg c0d0.
+        """
+        lam = Vec2(lm, ln)
+        a0, b0, c0, d0 = self.v[i], self.p, self.v[j] + lam, self.p + lam
+        o1, o2, o3, o4 = signs
         if o1 == 0 and o2 == 0:
             # collinear segments: an overlap of positive length is degenerate
-            ab = _vsub(b0, a0)
-            den = _vdot(ab, ab)
-            tc = _vdot(_vsub(c0, a0), ab)
-            td = _vdot(_vsub(d0, a0), ab)
-            lo, hi = (tc, td) if _psign(_psub(td, tc)) > 0 else (td, tc)
-            if _psign(lo) < 0:
-                lo = (0, 0)
-            if _psign(_psub(hi, den)) > 0:
-                hi = den
-            if _psign(_psub(hi, lo)) > 0:
-                return "degenerate", "collinear overlapping legs"
-            return "none", None
-        if o1 == 0 or o2 == 0 or o3 == 0 or o4 == 0:
-            for x, (s0, s1) in ((c0, (a0, b0)), (d0, (a0, b0)),
-                                (a0, (c0, d0)), (b0, (c0, d0))):
-                if self._orient(s0, s1, x) == 0 and self._strictly_inside(s0, s1, x):
-                    return "degenerate", "vertex image interior to a leg"
-            return "none", None
-        return "none", None
+            ab = self.legs[i]
+            tc = (c0 - a0).dot(ab)
+            td = (d0 - a0).dot(ab)
+            lo, hi = min(tc, td), max(tc, td)
+            if max(lo, 0) < min(hi, ab.norm_sq()):
+                return "collinear overlapping legs"
+            return None
+        for x, s0, s1, o in ((c0, a0, b0, o1), (d0, a0, b0, o2),
+                             (a0, c0, d0, o3), (b0, c0, d0, o4)):
+            if o == 0 and self._strictly_inside(s0, s1, x):
+                return "vertex image interior to a leg"
+        return None
 
     def crossing_key(self, i, j, lm, ln):
-        """Exact torus-canonical coordinates of the crossing point."""
-        a0, b0, c0, d0 = self._segments(i, j, lm, ln)
-        ab = _vsub(b0, a0)
-        cd = _vsub(d0, c0)
-        tn = _vcross(_vsub(c0, a0), cd)
-        td = _vcross(ab, cd)
-        # crossing scaled by 2*dpair*td: a0*td + tn*ab
-        qx = _padd(_pmul(a0[0], td), _pmul(tn, ab[0]))
-        qy = _padd(_pmul(a0[1], td), _pmul(tn, ab[1]))
-        den = _pmul(_pmul((2, 0), self.dpair), td)
-        # back to lattice coordinates, which are the plane's on the Gaussian lattice
-        if self.lattice.mode == EISENSTEIN:
-            # a = x - y/sqrt(3), b = 2*y/sqrt(3); multiply
-            # through by 3 to stay integral (sqrt(3)*y = (3*y_s, y_r))
-            ry = (3 * qy[1], qy[0])
-            qa = (3 * qx[0] - ry[0], 3 * qx[1] - ry[1])
-            qb = (2 * ry[0], 2 * ry[1])
-            den = _pmul(den, (3, 0))
-            qx, qy = qa, qb
-        return (_reduce_mod_one(qx, den), _reduce_mod_one(qy, den))
-
-
-def _reduce_mod_one(num, den):
-    norm = den[0] * den[0] - 3 * den[1] * den[1]
-    r = Fraction(num[0] * den[0] - 3 * num[1] * den[1], norm)
-    s = Fraction(num[1] * den[0] - num[0] * den[1], norm)
-    value = QuadraticNumber(r, s)
-    frac = value - QuadraticNumber(value.floor())
-    return (frac.rational, frac.root3)
+        """Exact lattice coordinates of the crossing point, reduced mod 1."""
+        ab, cd = self.legs[i], self.legs[j]
+        q = self.v[j] + Vec2(lm, ln) - self.v[i]
+        x = self.v[i] + ab.scale(q.cross(cd) / ab.cross(cd))
+        return x.x - x.x.floor(), x.y - x.y.floor()
 
 
 def degenerate_frequency(reports: list[ImmersionReport]) -> float:
@@ -435,16 +352,6 @@ def fiber_tripods(basis: tuple[LatticeVector, LatticeVector], lattice: LatticeSp
     return out
 
 
-def _sector_test(lattice: LatticeSpec, a, b, c, d) -> bool:
-    """Exact test: arg(u) in [0, 2*pi/3) for the Toricelli point of (z, w)."""
-    u = toricelli_point(lattice.embed(a, b), lattice.embed(c, d))
-    s_uy = u.y.sign()
-    ray = u.x * QuadraticNumber(0, 1) + u.y  # sqrt(3)*ux + uy
-    if s_uy > 0:
-        return ray.sign() > 0
-    return s_uy == 0 and u.x.sign() > 0
-
-
 def _canonical_lift(lattice: LatticeSpec, a, b, c, d, mode: str):
     """Pick the lift per census mode; the lemma sector selects exactly one."""
     lifts = [(a, b, c, d), (c - a, d - b, -a, -b), (-c, -d, a - c, b - d)]
@@ -453,7 +360,7 @@ def _canonical_lift(lattice: LatticeSpec, a, b, c, d, mode: str):
             if min(lattice._norm(aa, bb), lattice._norm(cc, dd)) > lattice._polar(aa, bb, cc, dd):
                 return (aa, bb, cc, dd)
         # tied largest angle: fall through to the sector rule
-    for (aa, bb, cc, dd) in lifts:
-        if _sector_test(lattice, aa, bb, cc, dd):
-            return (aa, bb, cc, dd)
+    for lift in lifts:
+        if _sector(lattice, *lift)[0]:
+            return lift
     raise AssertionError("exactly one lift must land in the canonical sector")

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 BASE = [sys.executable, "-m", "tripods"]
 
 
@@ -190,6 +192,29 @@ def test_threads_env_default():
              env={"TRIPOD_THREADS": "3"})
     data = json.loads(cp.stdout)
     assert data["payload"]["threads"] == 3
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_threads_env_invalid_exit2(value):
+    cp = run("census", "--lattice", "gaussian", "--radius", "6",
+             env={"TRIPOD_THREADS": value})
+    assert cp.returncode == 2
+    assert cp.stdout == ""
+    lines = cp.stderr.strip().splitlines()
+    assert len(lines) == 1 and "TRIPOD_THREADS" in lines[0] and repr(value) in lines[0]
+
+
+def test_threads_flag_overrides_env():
+    cp = run("census", "--lattice", "gaussian", "--radius", "6", "--threads", "2",
+             env={"TRIPOD_THREADS": "abc"})
+    assert cp.returncode == 0
+    assert json.loads(cp.stdout)["payload"]["threads"] == 2
+
+
+def test_threads_flag_zero_exit2():
+    cp = run("convergence", "--radii", "4", "--threads", "0")
+    assert cp.returncode == 2
+    assert "thread count must be positive" in cp.stderr
 
 
 def test_float_serialization_17_digits():

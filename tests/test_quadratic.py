@@ -56,6 +56,38 @@ def test_floor():
     assert QuadraticNumber(2, 1).floor() == 3
 
 
+big = st.integers(min_value=-10**6, max_value=10**6)
+
+
+@given(big, big, st.integers(min_value=1, max_value=10**6))
+@settings(max_examples=300, deadline=None)
+def test_floor_brackets_value(x, y, d):
+    q = QuadraticNumber(Fraction(x, d), Fraction(y, d))
+    f = q.floor()
+    assert QuadraticNumber(f) <= q < QuadraticNumber(f + 1)
+
+
+def test_floor_huge_magnitude():
+    # float(self) overflows here; the floor is exact integer arithmetic
+    assert QuadraticNumber(10**400, 1).floor() == 10**400 + 1
+    assert QuadraticNumber(-10**400, -1).floor() == -10**400 - 2
+
+
+def test_representation_unique():
+    x = QuadraticNumber(Fraction(5, 6), Fraction(-7, 4))
+    y = QuadraticNumber(Fraction(1, 3), Fraction(-2, 7))
+    pairs = [((x / y) * y, x),
+             (QuadraticNumber(Fraction(2, 4), Fraction(3, 6)),
+              QuadraticNumber(Fraction(1, 2), Fraction(1, 2))),
+             (x - x, QuadraticNumber(0)),
+             (QuadraticNumber(0, 2) * QuadraticNumber(0, Fraction(1, 6)), QuadraticNumber(1))]
+    for a, b in pairs:
+        assert a == b
+        assert hash(a) == hash(b)
+        assert repr(a) == repr(b)
+    assert x.rational == Fraction(5, 6) and x.root3 == Fraction(-7, 4)
+
+
 def test_ordering_near_ties():
     # 433/250 = 1.732 < sqrt(3) < 1.7321 = 17321/10000
     assert QuadraticNumber(Fraction(433, 250)) < QuadraticNumber(0, 1)
@@ -111,3 +143,5 @@ def test_immutability():
     x = QuadraticNumber(1, 2)
     with pytest.raises(AttributeError):
         x.rational = Fraction(3)
+    with pytest.raises(AttributeError):
+        x._x = 3

@@ -118,7 +118,8 @@ def test_large_tripod_with_genuine_triple_points():
 
 
 def test_exact_fallback_matches_vectorized(monkeypatch):
-    """Forcing the pure-integer path reproduces the int64 path exactly."""
+    """_SIGN_SAFE = 1 forces the orientation pass onto arrays of Python ints,
+    which reproduces the int64 pass exactly."""
     import tripods.topology as topo
 
     cases = [(G, (3, 1, 1, 2)), (E, (2, 1, 1, 3)), (G, (2, 1, 1, 2)),
@@ -176,6 +177,21 @@ def test_self_intersections_int64_safe_near_sign_safe(tracked, monkeypatch):
     assert rep.intersections > 0 and not rep.degenerate
 
 
+@pytest.mark.parametrize("k, crossings", [(45, 44), (60, 59)])
+def test_past_sign_safe_stays_vectorized(monkeypatch, k, crossings):
+    """Past the int64 guard the orientation pass runs on Python ints; only
+    combos with a vanishing sign reach the per-combo exact examination."""
+    import tripods.topology as topo
+
+    calls = []
+    examine = topo._ExactLegGeometry.examine
+    monkeypatch.setattr(topo._ExactLegGeometry, "examine",
+                        lambda self, *args: calls.append(args) or examine(self, *args))
+    rep = self_intersections(Tripod.from_coords(G, 0, 1, -k, 2))
+    assert len(calls) < 100
+    assert (rep.intersections, rep.degenerate) == (crossings, False)
+
+
 def test_report_euler_arithmetic():
     rep = ImmersionReport.from_count(4, False)
     c0, c1, c2 = rep.cell_counts
@@ -184,13 +200,14 @@ def test_report_euler_arithmetic():
 
 
 def test_exactly_one_lift_in_canonical_sector():
-    """The half-open Toricelli sector picks exactly one of the three lifts."""
-    from tripods.topology import _sector_test
+    """The half-open Toricelli sector, the predicate the census and the fiber
+    canonicalization share, picks exactly one of the three lifts."""
+    from tripods.census import _sector
 
     for lat in (G, E):
         for row in enumerate_tripods(lat, 6)[::7]:
             t = Tripod.from_coords(lat, *(int(x) for x in row))
-            in_sector = [_sector_test(lat, *lift) for lift in t.lifts()]
+            in_sector = [bool(_sector(lat, *lift)[0]) for lift in t.lifts()]
             assert sum(in_sector) == 1, t.coords
             assert in_sector[0], "enumerated tuples are already canonical"
 
