@@ -62,23 +62,7 @@ _BOUNDARY_COLLAR = 1e-12
 
 def omega_membership(z: complex, w: complex) -> bool:
     """Endpoint pair admissibility for the unit-length canonical region."""
-    cr = z.real * w.imag - z.imag * w.real
-    if cr <= 0:
-        return False
-    if not _angles_below_120(z, w):
-        return False
-    u = ROT60 * z + ROT60C * w
-    if u.real ** 2 + u.imag ** 2 > 1.0 + 3 * _BOUNDARY_COLLAR:
-        return False
-    return _in_sector(u)
-
-
-def _angles_below_120(z: complex, w: complex) -> bool:
-    for a_, b_ in ((z, w), (-z, w - z), (-w, z - w)):
-        d = a_.real * b_.real + a_.imag * b_.imag
-        if d < 0 and 4 * d * d >= (abs(a_) ** 2) * (abs(b_) ** 2):
-            return False
-    return True
+    return bool(_membership_mask(np.array([z]), np.array([w]))[0])
 
 
 def _in_sector(u: complex) -> bool:
@@ -253,6 +237,8 @@ def slice_property_check(u: complex, trials: int, seed: int,
                                 0.0, 0.0)
     half = abs(u)
     pts = rng.random((trials, 2)) * 2 * half - half
+    zs = pts[:, 0] + 1j * pts[:, 1]
+    members = _membership_mask(zs, partner_endpoint(zs, u))
     v0, v1, v2 = _triangle_vertices(u)
     counterexamples: list[tuple[float, float]] = []
     tested = 0
@@ -266,10 +252,9 @@ def slice_property_check(u: complex, trials: int, seed: int,
             continue
         tested += 1
         inside = _in_triangle(z, v0, v1, v2)
-        member = omega_membership(z, partner_endpoint(z, u))
         if inside:
             hits += 1
-        if inside != member and len(counterexamples) < 16:
+        if inside != members[k] and len(counterexamples) < 16:
             counterexamples.append((z.real, z.imag))
     box_area = (2 * half) ** 2
     p_hat = hits / max(1, tested)

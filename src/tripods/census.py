@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
+from . import analytics, geometry
 from .lattice import EISENSTEIN, GAUSSIAN, GENERAL, LatticeSpec
 from .quadratic import _sign_root3_vec
 
@@ -51,10 +51,15 @@ class CensusConfig:
     def __post_init__(self):
         if self.mode not in (LEMMA, APPENDIX):
             raise ValueError(f"unknown census mode {self.mode!r}")
+        # false for NaN, and exact for ints beyond the float range
+        if not -math.inf < self.radius < math.inf:
+            raise ValueError(f"radius must be finite, got {self.radius}")
         if self.radius <= 0:
             raise ValueError("radius must be positive")
         if self.threads < 1:
             raise ValueError("thread count must be positive")
+        if self.emit_samples is not None and self.emit_samples < 0:
+            raise ValueError("sample count must be nonnegative")
         if self.lattice.is_exact:
             if self.radius != int(self.radius):
                 raise ValueError("preset lattices require an integer radius")
@@ -347,7 +352,6 @@ def census(config: CensusConfig) -> CensusReport:
                 samples.append({"coords": [a, b, int(c[k]), int(d[k])], "index": int(n[k]),
                                 "primitive": bool(prim[k])})
     elapsed = (time.perf_counter() - t0) * 1000.0
-    ref = 15 * math.sqrt(3.0) / (4 * math.pi ** 3)
     return CensusReport(
         lattice=lattice.describe(),
         radius=config.radius,
@@ -364,7 +368,7 @@ def census(config: CensusConfig) -> CensusReport:
         angle_tie_primitive_count=angle_ties_primitive,
         sector_boundary_count=sector_boundary,
         normalized_constant=primitive / config.radius ** 4,
-        reference_constant=ref,
+        reference_constant=analytics.reference_constants()["main_constant"],
         heuristic=not lattice.is_exact,
         elapsed_ms=elapsed,
         samples=samples,
@@ -397,7 +401,7 @@ def convergence_scan(lattice: LatticeSpec, radii: list[float], mode: str = LEMMA
     """
     if list(radii) != sorted(radii):
         raise ValueError("radii must be increasing")
-    ref = 15 * math.sqrt(3.0) / (4 * math.pi ** 3)
+    ref = analytics.reference_constants()["main_constant"]
     covol = lattice.covolume
     rows = []
     for r in radii:
@@ -435,12 +439,9 @@ def nonreduced_census(lattice: LatticeSpec, radius: float, threads: int = 1,
         "elapsed_ms": rep.elapsed_ms,
     }
     if lattice.mode == EISENSTEIN:  # the paper states these constants for this lattice
-        out["constants"] = {
-            "nonreduced_bound": (1 - 6 / math.pi ** 2) * math.pi / 16,
-            "c1": (1 - 6 / math.pi ** 2) * 0.75,
-            "c2": 90 / math.pi ** 4,
-            "eisenstein_total": math.pi / 12,
-        }
+        consts = analytics.reference_constants()
+        out["constants"] = {k: consts[k] for k in
+                            ("nonreduced_bound", "c1", "c2", "eisenstein_total")}
     return out
 
 

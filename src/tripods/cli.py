@@ -232,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, fmt=True):
         p.add_argument("--threads", type=int, default=None,
-                       help="echoed in the report; the census runs on one thread "
-                            "(default: TRIPOD_THREADS or 1)")
+                       help="validated and echoed in census reports; every command "
+                            "runs on one thread (default: TRIPOD_THREADS or 1)")
         p.add_argument("--out", help="write the report to a file instead of stdout")
         if fmt:
             p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -251,8 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inspect", help="full geometry of one tripod")
     p.add_argument("--lattice", required=True)
     p.add_argument("--coords", required=True, help="a,b,c,d")
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--out")
+    add_common(p, fmt=False)
     p.set_defaults(func=cmd_inspect, format="json")
 
     p = sub.add_parser("convergence", help="census at several radii with errors")
@@ -286,8 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--radius", type=float, default=10.0)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--out")
+    add_common(p, fmt=False)
     p.set_defaults(func=cmd_random_lattice, format="json")
 
     return parser

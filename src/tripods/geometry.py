@@ -7,8 +7,9 @@ point) at pairwise angles 2*pi/3, and the total leg length satisfies
 ell = |u| with u = e^{i*pi/3} z + e^{-i*pi/3} w.
 
 All predicates here are exact in the preset lattice modes: the junction point
-is computed by exact line intersection, never via trigonometry, so the
-classification of lattice points on legs stays branch-exact.
+is the closed form p = (z.w + (z x w)/sqrt(3)) / ell^2 * u in Q(sqrt(3)),
+never trigonometry, so the classification of lattice points on legs stays
+branch-exact.
 """
 
 from __future__ import annotations
@@ -65,6 +66,10 @@ def toricelli_point(z: Vec2, w: Vec2) -> Vec2:
     return z.rotate60() + w.rotate_minus60()
 
 
+# C / sqrt(3) = C * sqrt(3) / 3
+_ROOT3_THIRD = QuadraticNumber(0, Fraction(1, 3))
+
+
 def tripod_length_sq(z: Vec2, w: Vec2) -> QuadraticNumber:
     """Squared tripod length |u|^2 = |z|^2 + |w|^2 - Re(z w~) + sqrt(3) Im(z~ w)."""
     return toricelli_point(z, w).norm_sq()
@@ -73,20 +78,18 @@ def tripod_length_sq(z: Vec2, w: Vec2) -> QuadraticNumber:
 def fermat_point(z: Vec2, w: Vec2) -> Vec2:
     """Junction point p of the tripod inscribed in (0, z, w), exactly.
 
-    p is the intersection of segment(0, u) with segment(z, e^{i*pi/3} w),
-    where e^{i*pi/3} w is the apex of the equilateral triangle erected on the
-    side 0w away from the triangle.  Requires the strict angle condition: at
-    the 2*pi/3 boundary the junction degenerates onto a vertex.
+    p lies on the ray through u at distance ell_1 from the origin, so
+    p = (ell_1/ell) * u = (S + C/sqrt(3)) / ell^2 * u with the ratio of
+    leg_fractions.  Requires the strict angle condition: at the 2*pi/3
+    boundary the junction degenerates onto a vertex.
     """
     if not angle_condition(z, w):
         raise InvalidTripodError("angle", "triangle has an angle >= 2*pi/3")
-    if z.cross(w).sign() < 0:
+    c = z.cross(w)
+    if c.sign() < 0:
         raise InvalidTripodError("orientation", "pair must be positively oriented")
     u = toricelli_point(z, w)
-    apex = w.rotate60()
-    az = apex - z
-    t = z.cross(az) / u.cross(az)
-    return u.scale(t)
+    return u.scale((z.dot(w) + c * _ROOT3_THIRD) / u.norm_sq())
 
 
 def leg_fractions(z: Vec2, w: Vec2) -> tuple[QuadraticNumber, QuadraticNumber, QuadraticNumber]:
@@ -97,10 +100,8 @@ def leg_fractions(z: Vec2, w: Vec2) -> tuple[QuadraticNumber, QuadraticNumber, Q
     fractions sum to 1 exactly.
     """
     s = z.dot(w)
-    c = z.cross(w)
     lsq = tripod_length_sq(z, w)
-    # C / sqrt(3) = C * sqrt(3) / 3
-    c_div = c * QuadraticNumber(0, Fraction(1, 3))
+    c_div = z.cross(w) * _ROOT3_THIRD
     t1 = (s + c_div) / lsq
     t2 = (z.norm_sq() - s + c_div) / lsq
     t3 = (w.norm_sq() - s + c_div) / lsq
@@ -148,10 +149,8 @@ class Tripod:
             raise ValueError("exact Tripod construction requires a preset lattice")
         z = lattice.embed(a, b)
         w = lattice.embed(c, d)
-        if not angle_condition(z, w):
-            raise InvalidTripodError("angle", "triangle has an angle >= 2*pi/3")
+        p = fermat_point(z, w)  # raises the angle error
         u = toricelli_point(z, w)
-        p = fermat_point(z, w)
         return cls(lattice, a, b, c, d, z, w, u, p, u.norm_sq(), n)
 
     @property
@@ -223,7 +222,11 @@ def classify_heuristic(lattice: LatticeSpec, a: int, b: int, c: int, d: int) -> 
 
 
 def fermat_point_float(zx: float, zy: float, wx: float, wy: float) -> tuple[float, float]:
-    """Float junction point via the same line-intersection construction."""
+    """Float junction point: segment(0, u) meets segment(z, e^{i*pi/3} w).
+
+    e^{i*pi/3} w is the apex of the equilateral triangle erected on the side
+    0w away from the triangle.
+    """
     c60, s60 = 0.5, math.sqrt(3.0) / 2.0
     ux = (c60 * zx - s60 * zy) + (c60 * wx + s60 * wy)
     uy = (s60 * zx + c60 * zy) + (c60 * wy - s60 * wx)

@@ -108,15 +108,6 @@ class LatticeSpec:
             return 2 * (a * c + b * d) + a * d + b * c
         raise ValueError("integer polarization only available in preset modes")
 
-    def _doubled(self, a, b):
-        """Twice the embedding as integer pairs ((x, x_root3), (y, y_root3))."""
-        zero = 0 * a
-        if self.mode == GAUSSIAN:
-            return (2 * a, zero), (2 * b, zero)
-        if self.mode == EISENSTEIN:
-            return (2 * a + b, zero), (zero, b)
-        raise ValueError("integer embedding only available in preset modes")
-
     def describe(self) -> str:
         if self.mode == GENERAL:
             return f"tau={self.tau_s:g},{self.tau_t:g}"
@@ -162,12 +153,6 @@ class LatticeVector:
 
     a: int
     b: int
-
-    def embedding(self, lattice: LatticeSpec) -> Vec2:
-        return lattice.embed(self.a, self.b)
-
-    def embedding_float(self, lattice: LatticeSpec) -> tuple[float, float]:
-        return lattice.embed_float(self.a, self.b)
 
 
 def is_primitive_quadruple(a: int, b: int, c: int, d: int) -> bool:

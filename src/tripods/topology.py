@@ -5,15 +5,19 @@ any index formula: the three legs are lifted to plane segments and every pair
 (leg_i, leg_j + lambda) over nearby lattice translates lambda is tested for a
 transverse interior crossing with exact orientation predicates.
 
-Exactness scheme: one vectorized pass computes the four orientation signs of
-every (leg pair, translate) combo.  Points are scaled by twice the positive
-Q(sqrt(3)) denominator of the junction point, so every coordinate is an
-integer pair (alpha, beta) = alpha + beta*sqrt(3); the pass runs on int64
-arrays while a guard on the coefficient sizes proves them exact, and on
-arrays of Python ints past it.  A combo whose sign vanishes (touching or
-collinear legs) is re-examined exactly, in lattice coordinates with
-QuadraticNumber entries, and each crossing is keyed by its lattice
-coordinates reduced mod 1, which detects coincident intersections.
+Exactness scheme: everything runs in lattice coordinates, where the basis
+map (m, n) -> m + n*tau is linear with positive determinant and so keeps
+every orientation.  The vertices and translates are integer vectors, and the
+junction is the tripod's own exact p.  Each leg direction is scaled to
+scale * ell^2 * (p - v_i), scale a positive integer, whose coordinates are
+integer pairs (alpha, beta) = alpha + beta*sqrt(3); every cross coefficient
+of one vectorized pass over all (leg pair, translate) combos is then
+Lr x q + (Ls x q)*sqrt(3) on integers.  The pass runs on int64 arrays while
+the guard 2 * max|pv| * max|q| < _SIGN_SAFE proves them exact, and on arrays
+of Python ints past it.  A combo whose sign vanishes (touching or collinear
+legs) is re-examined exactly with QuadraticNumber entries, and each crossing
+is keyed by its lattice coordinates reduced mod 1, which detects coincident
+intersections.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 
 from .census import _sector, lattice_points_in_disk
 from .geometry import InvalidTripodError, Tripod, angle_condition
-from .lattice import GAUSSIAN, LatticeSpec, LatticeVector
+from .lattice import LatticeSpec, LatticeVector
 from .quadratic import VEC_ZERO, Vec2, _sign_root3_vec
 
 
@@ -56,59 +60,6 @@ def region_count(report: ImmersionReport) -> int:
     return report.cell_counts[2]
 
 
-# -- integer pair helpers (alpha + beta*sqrt(3)) -----------------------------
-
-
-def _pmul(x, y):
-    return (x[0] * y[0] + 3 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _psub(x, y):
-    return (x[0] - y[0], x[1] - y[1])
-
-
-def _leg_data(tripod: Tripod):
-    """Homogeneous integer data: p = (tpair/dpair) * (u2/2), v = v2/2.
-
-    All entries are integer pairs; dpair is a positive multiple of ell^2, so
-    dividing it out never flips an orientation sign.
-    """
-    a, b, c, d = tripod.coords
-    n = tripod.index_n
-    lat = tripod.lattice
-    if not lat.is_exact:
-        raise ValueError("immersion oracle requires a preset lattice")
-    nz = lat._norm(a, b)
-    nw = lat._norm(c, d)
-    q0 = lat._polar(a, b, c, d)
-    v2s = tuple(lat._doubled(x, y) for x, y in ((0, 0), (a, b), (c, d)))
-    # per-lattice junction algebra: a generic form would enlarge the
-    # coefficients and push more tripods off the int64 vector path
-    if lat.mode == GAUSSIAN:
-        s = q0 // 2
-        u2 = ((a + c, d - b), (b + d, a - c))
-        tpair = (3 * s, n)
-        dpair = (3 * (nz + nw - s), 3 * n)
-    else:
-        l2 = 2 * nz + 2 * nw - q0 + 3 * n
-        um = -b + c + d
-        un = a + b - c
-        u2 = ((2 * um + un, 0), (0, un))
-        # q0 + n and l2 = 2*ell^2 are even identically on this lattice
-        assert (q0 + n) % 2 == 0 and l2 % 2 == 0
-        tpair = ((q0 + n) // 2, 0)
-        dpair = (l2 // 2, 0)
-    return u2, tpair, dpair, v2s
-
-
-def _pv_vectors(u2, tpair, dpair, v2s):
-    """PV_i = tpair*u2 - v2_i*dpair = 2*dpair*(p - v_i)."""
-    tu = (_pmul(tpair, u2[0]), _pmul(tpair, u2[1]))
-    return tuple(
-        (_psub(tu[0], _pmul(v2[0], dpair)), _psub(tu[1], _pmul(v2[1], dpair)))
-        for v2 in v2s)
-
-
 _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 # |cross coefficients| must stay below sqrt(2^63 / 3) so the final
@@ -116,21 +67,21 @@ _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _SIGN_SAFE = 1_500_000_000
 
 
-def _orientation_signs(pv, v2, lam, ii, jj):
+def _orientation_signs(pv, v, lam, ii, jj):
     """Signs o1..o4 of the orientation tests of each (leg ii, leg jj + lambda) combo.
 
-    pv and v2 hold one row (xr, xs, yr, ys) of integer-pair coordinates per
-    vertex and lam one such column per combo.  Every cross coefficient is at
-    most 8 * max|pv| * max|q| with q = v2_jj + lambda - v2_ii, so int64
-    arrays give exact signs while that product stays below _SIGN_SAFE;
+    All coordinates are lattice coordinates.  pv holds one row (xr, xs, yr, ys)
+    per leg, the direction (xr + xs*sqrt(3), yr + ys*sqrt(3)) on integers; v
+    one integer row per vertex and lam one integer column per combo.  With
+    q = v_jj + lambda - v_ii each cross coefficient is Lr x q + (Ls x q)*sqrt(3),
+    Lr = (xr, yr) and Ls = (xs, ys), at most 2 * max|pv| * max|q| in size, so
+    int64 arrays give exact signs while that product stays below _SIGN_SAFE;
     object arrays of Python ints give exact signs at any size.
     """
-    q = v2[jj].T + lam - v2[ii].T
+    q = v[jj].T + lam - v[ii].T
 
     def cross_sign(p, q):
-        alpha = p[0] * q[2] + 3 * p[1] * q[3] - p[2] * q[0] - 3 * p[3] * q[1]
-        beta = p[0] * q[3] + p[1] * q[2] - p[2] * q[1] - p[3] * q[0]
-        return _sign_root3_vec(alpha, beta)
+        return _sign_root3_vec(p[0] * q[1] - p[2] * q[0], p[1] * q[1] - p[3] * q[0])
 
     pi, pj = pv[ii].T, pv[jj].T
     return cross_sign(pi, q), cross_sign(pi, lam), -cross_sign(pj, q), -cross_sign(pj, lam)
@@ -149,8 +100,6 @@ def self_intersections(tripod: Tripod, lattice: LatticeSpec | None = None) -> Im
         # the junction descends to the torus origin: the two graph vertices
         # merge and the double-point cell structure does not apply
         return ImmersionReport.from_count(0, True, "junction point is a lattice point")
-    u2, tpair, dpair, v2s = _leg_data(tripod)
-    pvs = _pv_vectors(u2, tpair, dpair, v2s)
     exact = _ExactLegGeometry(tripod, Vec2(pa, pb))
     leg_len = tripod.leg_lengths()
 
@@ -162,7 +111,6 @@ def self_intersections(tripod: Tripod, lattice: LatticeSpec | None = None) -> Im
     m = lam_all[:, 0]
     nn = lam_all[:, 1]
     lam_nsq = lat._norm(m, nn)
-    lam2 = np.stack([x for comp in lat._doubled(m, nn) for x in comp])
     nonzero = (m != 0) | (nn != 0)
 
     # assemble one row set over all (leg pair, translate) combos
@@ -181,13 +129,20 @@ def self_intersections(tripod: Tripod, lattice: LatticeSpec | None = None) -> Im
     ii = np.array([p[0] for p in _PAIRS], dtype=np.int64)[pair_of]
     jj = np.array([p[1] for p in _PAIRS], dtype=np.int64)[pair_of]
 
-    pv = [[x for comp in p for x in comp] for p in pvs]
-    v2 = [[x for comp in v for x in comp] for v in v2s]
+    # integer leg rows scale * ell^2 * (p - v_i): ell^2 cancels the irrational
+    # denominator of p and scale the small integer ones left; both are positive
+    lsq = tripod.length_sq
+    parts = [[f for x in (leg.x * lsq, leg.y * lsq) for f in (x.rational, x.root3)]
+             for leg in exact.legs]
+    scale = math.lcm(*(f.denominator for row in parts for f in row))
+    pv = [[int(f * scale) for f in row] for row in parts]
+    a, b, c, d = tripod.coords
+    v = [[0, 0], [a, b], [c, d]]
+    max_q = 2 * max(abs(x) for row in v for x in row) + int(np.max(np.abs(lam_all)))
     max_pv = max(abs(x) for row in pv for x in row)
-    max_q = 2 * max(abs(x) for row in v2 for x in row) + int(np.max(np.abs(lam2)))
-    dtype = np.int64 if 8 * max_pv * max_q < _SIGN_SAFE else object
-    o1, o2, o3, o4 = _orientation_signs(np.array(pv, dtype=dtype), np.array(v2, dtype=dtype),
-                                        lam2[:, idx].astype(dtype), ii, jj)
+    dtype = np.int64 if 2 * max_pv * max_q < _SIGN_SAFE else object
+    o1, o2, o3, o4 = _orientation_signs(np.array(pv, dtype=dtype), np.array(v, dtype=dtype),
+                                        lam_all[idx].T.astype(dtype), ii, jj)
     proper = (o1 * o2 < 0) & (o3 * o4 < 0)
     anyzero = (o1 == 0) | (o2 == 0) | (o3 == 0) | (o4 == 0)
 

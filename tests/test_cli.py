@@ -97,6 +97,19 @@ def test_usage_error_exit2():
     assert cp.returncode == 2
 
 
+@pytest.mark.parametrize("args", [
+    ("census", "--lattice", "gaussian", "--radius", "inf"),
+    ("census", "--lattice", "tau=0.3,0.9", "--radius", "inf"),
+    ("convergence", "--radii", "5,inf"),
+    ("census", "--lattice", "gaussian", "--radius", "5", "--samples", "-3"),
+], ids=["inf-gaussian", "inf-tau", "inf-convergence", "negative-samples"])
+def test_nonfinite_radius_or_negative_samples_exit2(args):
+    cp = run(*args)
+    assert cp.returncode == 2, cp.stderr
+    assert cp.stderr.startswith("error: ") and "Traceback" not in cp.stderr
+    assert cp.stdout == ""
+
+
 def test_overflow_exit3():
     cp = run("census", "--lattice", "gaussian", "--radius", "20001")
     assert cp.returncode == 3

@@ -132,55 +132,71 @@ def test_exact_fallback_matches_vectorized(monkeypatch):
 
 
 def test_orientation_signs_int64_safe_at_sign_safe(tracked):
-    """Inputs that put 8 * max|pv| * max|q| just below _SIGN_SAFE, in every
-    sign pattern: int64 signs equal the unbounded ones and no intermediate
-    reaches 2^63."""
+    """Lattice-coordinate inputs that put 2 * max|pv| * max|q| just below
+    _SIGN_SAFE, in every sign pattern: int64 signs equal the unbounded ones
+    and no intermediate reaches 2^63."""
     import tripods.topology as topo
 
     M = 1500
-    V = (topo._SIGN_SAFE - 1) // (8 * M) // 4
-    L = (topo._SIGN_SAFE - 1) // (8 * M) - 2 * V
+    V = (topo._SIGN_SAFE - 1) // (2 * M) // 4
+    L = (topo._SIGN_SAFE - 1) // (2 * M) - 2 * V
     pv = np.array([[M, M, -M, -M], [M, -M, M, -M], [-M, M, M, M]])
-    v2 = np.array([[V, V, V, V], [-V, -V, -V, -V], [V, -V, V, -V]])
-    signs = np.array([[(k >> bit & 1) * 2 - 1 for k in range(16)] for bit in range(4)])
-    ii, jj = (x.ravel() for x in np.meshgrid(range(3), range(3), range(16))[:2])
+    v = np.array([[V, V], [-V, -V], [V, -V]])
+    signs = np.array([[(k >> bit & 1) * 2 - 1 for k in range(4)] for bit in range(2)])
+    ii, jj = (x.ravel() for x in np.meshgrid(range(3), range(3), range(4))[:2])
     lam = L * np.tile(signs, 9)
     max_q = 2 * V + L
-    assert topo._SIGN_SAFE - 8 * M <= 8 * M * max_q < topo._SIGN_SAFE
-    exact = topo._orientation_signs(*map(tracked.wrap, (pv, v2, lam)), ii, jj)
-    fast = topo._orientation_signs(pv, v2, lam, ii, jj)
+    assert topo._SIGN_SAFE - 2 * M <= 2 * M * max_q < topo._SIGN_SAFE
+    exact = topo._orientation_signs(*map(tracked.wrap, (pv, v, lam)), ii, jj)
+    fast = topo._orientation_signs(pv, v, lam, ii, jj)
     assert all(np.array_equal(f, e) for f, e in zip(fast, exact))
     assert 2 ** 60 < tracked.peak < 2 ** 63
 
 
+def _record_orientation_pass(monkeypatch, check=None):
+    """Wrap _orientation_signs; returns a list of (dtype, guard) per call,
+    the guard being 2 * max|pv| * max|q| of the call's arrays."""
+    import tripods.topology as topo
+
+    vector = topo._orientation_signs
+    calls = []
+
+    def recorded(pv, v, lam, ii, jj):
+        max_q = int(2 * np.abs(v).max() + np.abs(lam).max())
+        calls.append((pv.dtype, 2 * int(np.abs(pv).max()) * max_q))
+        fast = vector(pv, v, lam, ii, jj)
+        if check is not None:
+            check(vector, fast, pv, v, lam, ii, jj)
+        return fast
+
+    monkeypatch.setattr(topo, "_orientation_signs", recorded)
+    return calls
+
+
 def test_self_intersections_int64_safe_near_sign_safe(tracked, monkeypatch):
-    """A tripod whose guard 8 * max|pv| * max|q| is within 10% of _SIGN_SAFE
+    """A tripod whose guard 2 * max|pv| * max|q| is within 10% of _SIGN_SAFE
     takes the vectorized path, whose signs equal those of unbounded ints, and
     no intermediate of the unbounded run reaches 2^63."""
     import tripods.topology as topo
 
-    vector = topo._orientation_signs
-    guards = []
-
-    def checked(pv, v2, lam, ii, jj):
-        guards.append(8 * int(np.abs(pv).max()) * int(2 * np.abs(v2).max() + np.abs(lam).max()))
-        fast = vector(pv, v2, lam, ii, jj)
-        exact = vector(*map(tracked.wrap, (pv, v2, lam)), ii, jj)
+    def check(vector, fast, pv, v, lam, ii, jj):
+        exact = vector(*map(tracked.wrap, (pv, v, lam)), ii, jj)
         assert all(np.array_equal(f, e) for f, e in zip(fast, exact))
-        return fast
 
-    monkeypatch.setattr(topo, "_orientation_signs", checked)
+    calls = _record_orientation_pass(monkeypatch, check)
     # a long thin tripod: the guard grows like ell^4 and the combos like ell^2
-    rep = self_intersections(Tripod.from_coords(G, 0, 1, -44, 2))
-    assert len(guards) == 1 and 0.9 * topo._SIGN_SAFE < guards[0] < topo._SIGN_SAFE
+    rep = self_intersections(Tripod.from_coords(G, 0, 1, -88, 2))
+    assert len(calls) == 1 and calls[0][0] == np.int64
+    assert 0.9 * topo._SIGN_SAFE < calls[0][1] < topo._SIGN_SAFE
     assert 2 ** 50 < tracked.peak < 2 ** 63
     assert rep.intersections > 0 and not rep.degenerate
 
 
-@pytest.mark.parametrize("k, crossings", [(45, 44), (60, 59)])
+@pytest.mark.parametrize("k, crossings", [(45, 44), (60, 59), (77, 76), (89, 88)])
 def test_past_sign_safe_stays_vectorized(monkeypatch, k, crossings):
-    """Past the int64 guard the orientation pass runs on Python ints; only
-    combos with a vanishing sign reach the per-combo exact examination."""
+    """Past the int64 guard (k = 77, 89) the orientation pass runs on Python
+    ints; only combos with a vanishing sign reach the per-combo exact
+    examination."""
     import tripods.topology as topo
 
     calls = []
@@ -190,6 +206,18 @@ def test_past_sign_safe_stays_vectorized(monkeypatch, k, crossings):
     rep = self_intersections(Tripod.from_coords(G, 0, 1, -k, 2))
     assert len(calls) < 100
     assert (rep.intersections, rep.degenerate) == (crossings, False)
+
+
+@pytest.mark.parametrize("k, dtype", [(60, np.int64), (77, object)])
+def test_orientation_pass_dtype(monkeypatch, k, dtype):
+    """Lattice-coordinate leg rows keep (0,1,-60,2) on int64 arrays; (0,1,-77,2)
+    is past the guard and runs on Python ints."""
+    import tripods.topology as topo
+
+    calls = _record_orientation_pass(monkeypatch)
+    self_intersections(Tripod.from_coords(G, 0, 1, -k, 2))
+    assert [c[0] for c in calls] == [dtype]
+    assert (calls[0][1] < topo._SIGN_SAFE) == (dtype is np.int64)
 
 
 def test_report_euler_arithmetic():
