@@ -33,10 +33,13 @@ APPENDIX = "appendix"
 # Predicate intermediates are bounded by 48 R^4 (the Gaussian reducedness
 # test); int64 holds that up to R ~ 2.1e4.  The enforced limit leaves a margin.
 MAX_EXACT_RADIUS = 10_000
+# Largest coefficient box lattice_points_in_disk builds (Gaussian R ~ 2500):
+# its int64 norms and masks then take about 250 MB.
+MAX_DISK_CELLS = 25_000_000
 
 
 class OverflowLimitError(OverflowError):
-    """Radius exceeds the proven int64-safe range of the exact predicates."""
+    """Input beyond the proven int64-safe range or the feasible disk size."""
 
 
 @dataclass(frozen=True)
@@ -122,21 +125,35 @@ class CensusReport:
         return body
 
 
-def lattice_points_in_disk(lattice: LatticeSpec, radius: float) -> np.ndarray:
-    """All nonzero lattice points with |a + b*tau| <= radius, as an (N,2) array.
+def lattice_points_in_disk(lattice: LatticeSpec, radius: float,
+                           basis=((1, 0), (0, 1))) -> np.ndarray:
+    """All nonzero points m*v1 + n*v2 with |a + b*tau| <= radius, as an (N,2) array.
 
-    Rows are in lexicographic order.  The norm comparison is exact in the
-    preset modes (for any radius); general tau uses floats with a tiny
-    inflation.
+    (v1, v2) = `basis` spans a sublattice in lattice coordinates; each row is
+    the point's lattice coordinates (a, b), and the rows are in lexicographic
+    (m, n) order, so the default basis gives the lattice's own points in
+    (a, b) order.  The coefficient box |m| <= r |v2| / covol',
+    |n| <= r |v1| / covol' (covol' the sublattice's covolume) holds the disk.
+    A box above MAX_DISK_CELLS cells raises OverflowLimitError before anything
+    is allocated.  The norm comparison is exact in the preset modes (for any
+    radius); general tau uses floats with a tiny inflation.
     """
-    bmax = int(radius / lattice.tau_t) + 2
-    amax = int(radius * (1 + abs(lattice.tau_s) / lattice.tau_t)) + 2
-    ra = np.arange(-amax, amax + 1, dtype=np.int64)
-    rb = np.arange(-bmax, bmax + 1, dtype=np.int64)
+    (a1, b1), (a2, b2) = basis
+    covol = abs(a1 * b2 - a2 * b1) * lattice.covolume
+    mspan = radius * math.sqrt(lattice._norm(a2, b2)) / covol
+    nspan = radius * math.sqrt(lattice._norm(a1, b1)) / covol
+    cells = (2 * mspan + 3) * (2 * nspan + 3)
+    if not cells <= MAX_DISK_CELLS:  # also catches NaN
+        raise OverflowLimitError(f"the disk of radius {radius:g} needs a box of {cells:.3g} "
+                                 f"cells, above the feasible bound {MAX_DISK_CELLS:.3g}")
+    rm = np.arange(-int(mspan) - 1, int(mspan) + 2, dtype=np.int64)[:, None]
+    rn = np.arange(-int(nspan) - 1, int(nspan) + 2, dtype=np.int64)[None, :]
+    a = rm * a1 + rn * a2
+    b = rm * b1 + rn * b2
     r2 = radius * radius if lattice.is_exact else radius * radius * (1 + 1e-12)
-    nsq = lattice._norm(ra[:, None], rb[None, :])
-    i, j = np.nonzero((nsq <= r2) & (nsq > 0))
-    return np.stack([ra[i], rb[j]], axis=1)
+    nsq = lattice._norm(a, b)
+    keep = (nsq <= r2) & (nsq > 0)
+    return np.stack([a[keep], b[keep]], axis=1)
 
 
 def _sector(lattice: LatticeSpec, a, b, c, d):
@@ -160,6 +177,19 @@ def _sector(lattice: LatticeSpec, a, b, c, d):
     return sector, (un == 0) | (um + un == 0)
 
 
+def _angles_below_120(nz, nw, nzw, q0):
+    """All three angles of (0, z, w) strictly below 2*pi/3 (preset lattices).
+
+    nz, nw, nzw are the squared sides |z|^2, |w|^2, |w - z|^2 and q0 = 2 z.w;
+    an angle with a negative dot product is below 2*pi/3 iff 4 dot^2 is below
+    the product of its two squared sides.
+    """
+    qz = 2 * nz - q0
+    qw = 2 * nw - q0
+    return (((q0 >= 0) | (q0 * q0 < nz * nw)) & ((qz >= 0) | (qz * qz < nz * nzw))
+            & ((qw >= 0) | (qw * qw < nw * nzw)))
+
+
 def _accept_exact(lattice: LatticeSpec, mode, R, a, b, c, d, include_boundary=False):
     """Vectorized exact filters for one z-point against orientation-filtered w-points.
 
@@ -181,12 +211,7 @@ def _accept_exact(lattice: LatticeSpec, mode, R, a, b, c, d, include_boundary=Fa
     else:
         l2 = 2 * nz + 2 * nw - q0 + 3 * n
         len_ok = l2 <= 2 * R * R if include_boundary else l2 < 2 * R * R
-    ok0 = (q0 >= 0) | (q0 * q0 < nz * nw)
-    qz = 2 * nz - q0
-    qw = 2 * nw - q0
-    okz = (qz >= 0) | (qz * qz < nz * nzw)
-    okw = (qw >= 0) | (qw * qw < nw * nzw)
-    angles = len_ok & ok0 & okz & okw
+    angles = len_ok & _angles_below_120(nz, nw, nzw, q0)
 
     if mode == APPENDIX:
         zeros = np.zeros_like(angles)
@@ -267,10 +292,17 @@ def _scan(lattice: LatticeSpec, mode: str, radius, pts: np.ndarray, include_boun
 def _nonreduced_mask(lattice: LatticeSpec, a, b, c, d, n, prim):
     """Nonreduced flags among accepted tuples (exact preset lattices).
 
-    Eisenstein: the three leg directions u, zeta*w - z, zeta^{-1}*z - w are
-    lattice vectors of squared norm ell^2, so a leg holds an interior lattice
-    point iff content(direction) * (leg/ell) > 1; the junction is a lattice
-    point iff content(u) * (ell_1/ell) is a positive integer.
+    Eisenstein: the three legs meet at angles 2*pi/3, so their directions are
+    unit multiples of u = (-b + c + d, a + b - c) in lattice coordinates, and
+    each carries the lattice points of its line at spacing ell/g, where g is
+    the content of u (a unit keeps the content).  Leg i runs from a lattice
+    vertex, so it holds a lattice point, interior or at the junction, iff
+    ell/g <= ell_i.  With ell_i/ell = t_i/(2 ell^2) and the numerators
+    t = q0 + n, 2nz - q0 + n, 2nw - q0 + n (from 0, z, w), a tuple is
+    nonreduced iff g * max(t) >= 2 ell^2 = 2nz + 2nw - q0 + 3n.  Equality
+    puts the junction on a lattice point; there the lattice point is on every
+    leg, so the maximum also decides the junction.  The products stay small:
+    g^2 <= N(u) = ell^2 and t < 2 ell^2, so g * t < 2 R^3.
 
     Gaussian: with x, y the other two vertices relative to a leg's vertex V,
     the leg's line meets Z[i] only if |x| = |y|.  It then runs along
@@ -294,20 +326,9 @@ def _nonreduced_mask(lattice: LatticeSpec, a, b, c, d, n, prim):
     q0 = lattice._polar(a, b, c, d)
     # the two lattices need different mathematics (see above)
     if lattice.mode == EISENSTEIN:
-        l2 = 2 * nz + 2 * nw - q0 + 3 * n
-        um = -b + c + d
-        un = a + b - c
-        ee = a + d
-        g1 = np.gcd(np.abs(um), np.abs(un))
-        g2 = np.gcd(np.abs(ee), np.abs(um))
-        g3 = np.gcd(np.abs(un), np.abs(ee))
-        t1n = q0 + n
-        t2n = 2 * nz - q0 + n
-        t3n = 2 * nw - q0 + n
-        legs = (g1 * t1n > l2) | (g2 * t2n > l2) | (g3 * t3n > l2)
-        pk = g1 * t1n
-        junction = (pk % l2 == 0) & (pk >= l2)
-        return prim & (legs | junction)
+        g = np.gcd(np.abs(-b + c + d), np.abs(a + b - c))
+        t = np.maximum(q0, np.maximum(2 * nz - q0, 2 * nw - q0)) + n
+        return prim & (g * t >= 2 * nz + 2 * nw - q0 + 3 * n)
     zero = np.zeros_like(c)
     out = np.zeros_like(prim)
     # per leg: the screen |x| = |y|, the vertex V and |x - y|^2

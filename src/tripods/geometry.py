@@ -172,14 +172,14 @@ class Tripod:
         return [(a, b, c, d), (c - a, d - b, -a, -b), (-c, -d, a - c, b - d)]
 
 
-def classify(tripod: Tripod, lattice: LatticeSpec | None = None) -> TripodFlags:
+def classify(tripod: Tripod) -> TripodFlags:
     """Primitive/reduced flags via exact segment queries.
 
     primitive: gcd(a, b, c, d) = 1.  reduced: primitive, no lattice point
     strictly interior to any of the three legs, and the junction point is not
     a lattice point.
     """
-    lat = lattice or tripod.lattice
+    lat = tripod.lattice
     primitive = is_primitive_quadruple(*tripod.coords)
     if not primitive:
         return TripodFlags(primitive=False, reduced=False)
@@ -236,18 +236,17 @@ def fermat_point_float(zx: float, zy: float, wx: float, wy: float) -> tuple[floa
     return t * ux, t * uy
 
 
-def tripod_volume_and_index(tripod: Tripod, lattice: LatticeSpec | None = None) -> tuple[float, int]:
+def tripod_volume_and_index(tripod: Tripod) -> tuple[float, int]:
     """(volume, index): volume = (sqrt(3)/4)(ell^2 - L2^2), index = ad - bc.
 
     The covolume of the spanning lattice equals index * covolume(lattice);
     the identity is asserted to 1e-9 relative.
     """
-    lat = lattice or tripod.lattice
     ell1, ell2, ell3 = tripod.leg_lengths()
     lsq = float(tripod.length_sq)
     l2sq = ell1 * ell1 + ell2 * ell2 + ell3 * ell3
     volume = math.sqrt(3.0) / 4.0 * (lsq - l2sq)
-    expected = tripod.index_n * lat.covolume
+    expected = tripod.index_n * tripod.lattice.covolume
     if abs(volume - expected) > 1e-9 * max(1.0, abs(expected)):
         raise AssertionError(
             f"volume identity violated: {volume} vs index*covol {expected}")

@@ -40,6 +40,8 @@ class LatticeSpec:
     def __post_init__(self):
         if self.mode not in (GAUSSIAN, EISENSTEIN, GENERAL):
             raise ValueError(f"unknown lattice mode {self.mode!r}")
+        if not (math.isfinite(self.tau_s) and math.isfinite(self.tau_t)):
+            raise ValueError(f"tau must be finite, got {self.tau_s},{self.tau_t}")
         if self.tau_t <= 0:
             raise ValueError("Im(tau) must be positive")
 
@@ -140,10 +142,7 @@ def parse_lattice(text: str) -> LatticeSpec:
         parts = text[4:].split(",")
         if len(parts) != 2:
             raise ValueError(f"expected tau=<s>,<t>, got {text!r}")
-        s, t = float(parts[0]), float(parts[1])
-        if t <= 0:
-            raise ValueError("Im(tau) must be positive")
-        return general_lattice(s, t)
+        return general_lattice(float(parts[0]), float(parts[1]))
     raise ValueError(f"unknown lattice {text!r} (use gaussian, eisenstein or tau=<s>,<t>)")
 
 

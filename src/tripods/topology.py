@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import _sector, lattice_points_in_disk
-from .geometry import InvalidTripodError, Tripod, angle_condition
+from .census import _angles_below_120, _sector, lattice_points_in_disk
+from .geometry import Tripod
 from .lattice import LatticeSpec, LatticeVector
 from .quadratic import VEC_ZERO, Vec2, _sign_root3_vec
 
@@ -87,14 +87,14 @@ def _orientation_signs(pv, v, lam, ii, jj):
     return cross_sign(pi, q), cross_sign(pi, lam), -cross_sign(pj, q), -cross_sign(pj, lam)
 
 
-def self_intersections(tripod: Tripod, lattice: LatticeSpec | None = None) -> ImmersionReport:
+def self_intersections(tripod: Tripod) -> ImmersionReport:
     """Count transverse self-intersection points of the tripod on the torus.
 
     Independent geometric oracle: no index formula is consulted.  Degenerate
     immersions (vertex image on a leg interior, collinear overlapping legs,
     or any point hit by more than two strands) are flagged, not counted.
     """
-    lat = lattice or tripod.lattice
+    lat = tripod.lattice
     pa, pb = lat.to_lattice_coords(tripod.p)
     if pa.is_integer() and pb.is_integer():
         # the junction descends to the torus origin: the two graph vertices
@@ -239,83 +239,42 @@ def fiber_tripods(basis: tuple[LatticeVector, LatticeVector], lattice: LatticeSp
     for that lift |z| |w| <= 2 covol / sqrt(3); with L the shortest nonzero
     vector length both endpoints of that lift lie within 2 covol /
     (sqrt(3) L) of the origin.  Candidate pairs spanning the sublattice
-    (determinant +-1 in sublattice coordinates, positively oriented in the
-    plane) that satisfy the strict angle condition are mapped to their
-    canonical lift and deduplicated.
+    (ad - bc equal to its index, which also orients them) that pass the
+    census's strict angle test are mapped to their canonical lift and
+    deduplicated.
     """
     if not lattice.is_exact:
         raise ValueError("fiber enumeration requires a preset lattice")
     v1, v2 = basis
-    det = v1.a * v2.b - v1.b * v2.a
+    det = abs(v1.a * v2.b - v1.b * v2.a)
     if det == 0:
         raise ValueError("basis vectors are dependent")
+    sub = ((v1.a, v1.b), (v2.a, v2.b))
+    # the 1e-9 keeps v1 or v2 itself against sqrt rounding
+    r0 = math.sqrt(min(lattice._norm(*sub[0]), lattice._norm(*sub[1]))) * (1 + 1e-9)
+    near = lattice_points_in_disk(lattice, r0, sub)
+    shortest = math.sqrt(lattice._norm(near[:, 0], near[:, 1]).min())
+    box_r = 2 * (det * lattice.covolume) / (math.sqrt(3.0) * shortest)
+    cand = lattice_points_in_disk(lattice, box_r * (1 + 1e-9), sub)
 
-    def norm_sq(m: int, n: int) -> int:
-        return lattice._norm(m * v1.a + n * v2.a, m * v1.b + n * v2.b)
-
-    covol = abs(det) * lattice.covolume
-    len1 = math.sqrt(norm_sq(1, 0))
-    len2 = math.sqrt(norm_sq(0, 1))
-    # coefficient bounds for the shortest vector: |m| <= |s| |v2| / covol
-    mmax = int(min(len1, len2) * len2 / covol) + 1
-    nmax = int(min(len1, len2) * len1 / covol) + 1
-    best = None
-    for m in range(-mmax, mmax + 1):
-        for n in range(-nmax, nmax + 1):
-            if (m, n) == (0, 0):
-                continue
-            v = norm_sq(m, n)
-            if best is None or v < best:
-                best = v
-    shortest = math.sqrt(best)
-    box_r = 2 * covol / (math.sqrt(3.0) * shortest)
-    mmax = int(box_r * len2 / covol) + 1
-    nmax = int(box_r * len1 / covol) + 1
-    candidates = []
-    for m in range(-mmax, mmax + 1):
-        for n in range(-nmax, nmax + 1):
-            if (m, n) == (0, 0):
-                continue
-            if norm_sq(m, n) <= box_r * box_r * (1 + 1e-9):
-                candidates.append((m, n))
-
-    seen = set()
-    out = []
-    for (m1, n1) in candidates:
-        for (m2, n2) in candidates:
-            if abs(m1 * n2 - n1 * m2) != 1:
-                continue
-            a = m1 * v1.a + n1 * v2.a
-            b = m1 * v1.b + n1 * v2.b
-            c = m2 * v1.a + n2 * v2.a
-            d = m2 * v1.b + n2 * v2.b
-            if a * d - b * c <= 0:
-                continue
-            z = lattice.embed(a, b)
-            w = lattice.embed(c, d)
-            try:
-                if not angle_condition(z, w):
-                    continue
-            except InvalidTripodError:
-                continue
-            canon = _canonical_lift(lattice, a, b, c, d, mode)
-            if canon in seen:
-                continue
-            seen.add(canon)
-            out.append(Tripod.from_coords(lattice, *canon))
-    out.sort(key=lambda t: t.coords)
-    return out
-
-
-def _canonical_lift(lattice: LatticeSpec, a, b, c, d, mode: str):
-    """Pick the lift per census mode; the lemma sector selects exactly one."""
-    lifts = [(a, b, c, d), (c - a, d - b, -a, -b), (-c, -d, a - c, b - d)]
+    pairs = []
+    for a, b in cand.tolist():
+        w = cand[a * cand[:, 1] - b * cand[:, 0] == det]
+        c, d = w[:, 0], w[:, 1]
+        nz, nw, q0 = lattice._norm(a, b), lattice._norm(c, d), lattice._polar(a, b, c, d)
+        # admissible, with a largest angle at the origin: the lifts the box holds
+        w = w[_angles_below_120(nz, nw, nz + nw - q0, q0) & (np.minimum(nz, nw) >= q0)]
+        if len(w):
+            pairs.append(np.column_stack([np.full(len(w), a), np.full(len(w), b), w]))
+    a, b, c, d = np.concatenate(pairs).T
+    # lifts[k, :, i] is lift k of pair i; exactly one lies in the half-open sector
+    lifts = np.array([(a, b, c, d), (c - a, d - b, -a, -b), (-c, -d, a - c, b - d)])
+    la, lb, lc, ld = lifts.transpose(1, 0, 2)
+    pick = _sector(lattice, la, lb, lc, ld)[0]
     if mode == "appendix":
-        for (aa, bb, cc, dd) in lifts:
-            if min(lattice._norm(aa, bb), lattice._norm(cc, dd)) > lattice._polar(aa, bb, cc, dd):
-                return (aa, bb, cc, dd)
-        # tied largest angle: fall through to the sector rule
-    for lift in lifts:
-        if _sector(lattice, *lift)[0]:
-            return lift
-    raise AssertionError("exactly one lift must land in the canonical sector")
+        # the lift with the strictly largest angle at the origin, if any
+        origin = np.minimum(lattice._norm(la, lb), lattice._norm(lc, ld)) > lattice._polar(
+            la, lb, lc, ld)
+        pick = np.where(origin.any(axis=0), origin, pick)
+    rows = np.unique(lifts[pick.argmax(axis=0), :, np.arange(len(a))], axis=0)
+    return [Tripod.from_coords(lattice, *row) for row in rows.tolist()]

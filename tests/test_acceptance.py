@@ -86,6 +86,20 @@ def test_criterion_1_golden_count(appendix35, lemma35):
     assert cli_wall < 60 and appendix35._wall_s < 60
 
 
+def test_golden_counts(lemma35, eisenstein40):
+    """The golden numbers of the lemma and Eisenstein censuses, exactly."""
+    gaussian = (lemma35.all_tripods, lemma35.primitive, lemma35.angle_tie_primitive_count,
+                lemma35.sector_boundary_count)
+    counts = eisenstein40["counts"]
+    eisenstein = (counts["all_tripods"], counts["primitive"], counts["nonreduced_primitive"])
+    ok = gaussian == (339984, 314260, 1772, 248) and eisenstein == (768600, 711394, 220604)
+    _report("golden counts", ok,
+            f"gaussian R=35 lemma (all, primitive, ties, sector boundary) = {gaussian}; "
+            f"eisenstein R=40 (all, primitive, nonreduced) = {eisenstein}")
+    assert gaussian == (339984, 314260, 1772, 248)
+    assert eisenstein == (768600, 711394, 220604)
+
+
 def test_criterion_2_asymptotic_error(appendix35):
     err35 = abs(appendix35.primitive / 35 ** 4 - MAIN_CONSTANT)
     err10 = abs(census(CensusConfig(lattice=G, radius=10, mode=APPENDIX)).primitive

@@ -395,6 +395,25 @@ def test_disk_enumeration_counts():
     assert len(pts) == direct
 
 
+@pytest.mark.parametrize("lat", [G, E, general_lattice(0.3, 0.9)],
+                         ids=["gaussian", "eisenstein", "general"])
+@pytest.mark.parametrize("basis", [((1, 0), (0, 1)), ((2, 1), (-1, 3)), ((1, 0), (0, 7)),
+                                   ((3, 0), (1, 2)), ((0, 2), (5, 1))])
+def test_disk_with_sublattice_basis(lat, basis):
+    """The disk of a sublattice holds the full disk's points that lie in it,
+    in lexicographic order of their coefficients (m, n)."""
+    (a1, b1), (a2, b2) = basis
+    det = a1 * b2 - a2 * b1
+    for radius in (1, 6, 9.5):
+        full = lattice_points_in_disk(lat, radius)
+        m = full[:, 0] * b2 - full[:, 1] * a2
+        n = full[:, 1] * a1 - full[:, 0] * b1
+        inside = (m % det == 0) & (n % det == 0)
+        order = np.lexsort((n[inside] // det, m[inside] // det))
+        assert np.array_equal(lattice_points_in_disk(lat, radius, basis),
+                              full[inside][order])
+
+
 # -- the int64 bound of the exact predicates, checked -------------------------
 
 

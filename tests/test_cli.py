@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from tripods.cli import main
+
 BASE = [sys.executable, "-m", "tripods"]
 
 
@@ -114,6 +116,26 @@ def test_overflow_exit3():
     cp = run("census", "--lattice", "gaussian", "--radius", "20001")
     assert cp.returncode == 3
     assert "overflow" in cp.stderr.lower()
+
+
+@pytest.mark.parametrize("tau", ["0.3,inf", "inf,1", "nan,1"])
+def test_nonfinite_tau_exit2(tau, capsys):
+    assert main(["census", "--lattice", f"tau={tau}", "--radius", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: tau must be finite") and out == ""
+
+
+@pytest.mark.parametrize("args", [
+    ("census", "--lattice", "tau=0.3,0.9", "--radius", "1e8"),
+    ("inspect", "--lattice", "gaussian", "--coords=0,1,-10000000,2"),
+], ids=["census-disk", "translate-disk"])
+def test_infeasible_disk_exit3(args, capsys):
+    """A disk whose coefficient box would take petabytes is refused before
+    anything is allocated."""
+    assert main(list(args)) == 3
+    out, err = capsys.readouterr()
+    assert err.startswith("overflow: ") and "cells" in err and "2.5e+07" in err
+    assert out == ""
 
 
 def test_json_deterministic_except_timestamp():

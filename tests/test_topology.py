@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tripods.census import enumerate_tripods
+from tripods.census import CensusConfig, census, enumerate_tripods
 from tripods.geometry import Tripod, classify
 from tripods.lattice import LatticeVector, eisenstein_lattice, gaussian_lattice
 from tripods.topology import (
@@ -296,6 +296,22 @@ def test_fiber_appendix_lift_has_largest_angle_at_origin(lat):
         for t in members:
             assert (largest_at_origin(*t.coords)
                     or not any(largest_at_origin(*lift) for lift in t.lifts())), (basis, t.coords)
+
+
+@pytest.mark.parametrize("lat", [G, E], ids=["gaussian", "eisenstein"])
+def test_fibers_partition_the_census(lat):
+    """The fibers over the sigma(n) sublattices of index n, in Hermite form
+    (p, 0), (q, r) with pr = n and 0 <= q < p, together hold exactly the
+    census's tripods of index n."""
+    R = 12
+    histogram = census(CensusConfig(lattice=lat, radius=R)).index_histogram
+    for n in range(1, 9):
+        count = 0
+        for p in (p for p in range(1, n + 1) if n % p == 0):
+            for q in range(p):
+                members = fiber_tripods((LatticeVector(p, 0), LatticeVector(q, n // p)), lat)
+                count += sum(1 for t in members if t.length_sq < R * R)
+        assert count == histogram.get(n, 0), n
 
 
 def test_fiber_rejects_dependent_basis():
