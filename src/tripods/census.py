@@ -33,8 +33,10 @@ APPENDIX = "appendix"
 # Predicate intermediates are bounded by 48 R^4 (the Gaussian reducedness
 # test); int64 holds that up to R ~ 2.1e4.  The enforced limit leaves a margin.
 MAX_EXACT_RADIUS = 10_000
-# Largest coefficient box lattice_points_in_disk builds (Gaussian R ~ 2500):
-# its int64 norms and masks then take about 250 MB.
+# Largest coefficient box lattice_points_in_disk builds (Gaussian R ~ 2500).
+# Its measured peak allocation is about 50 bytes per cell on all three lattice
+# kinds (full boxes of a, b and norms, then the kept rows), so about 1.25 GB
+# at the bound.
 MAX_DISK_CELLS = 25_000_000
 
 
@@ -136,7 +138,8 @@ def lattice_points_in_disk(lattice: LatticeSpec, radius: float,
     |n| <= r |v1| / covol' (covol' the sublattice's covolume) holds the disk.
     A box above MAX_DISK_CELLS cells raises OverflowLimitError before anything
     is allocated.  The norm comparison is exact in the preset modes (for any
-    radius); general tau uses floats with a tiny inflation.
+    radius); general tau uses floats with a tiny inflation.  Rows are int64
+    while every norm in the box fits, else Python ints (a large sublattice).
     """
     (a1, b1), (a2, b2) = basis
     covol = abs(a1 * b2 - a2 * b1) * lattice.covolume
@@ -146,8 +149,13 @@ def lattice_points_in_disk(lattice: LatticeSpec, radius: float,
     if not cells <= MAX_DISK_CELLS:  # also catches NaN
         raise OverflowLimitError(f"the disk of radius {radius:g} needs a box of {cells:.3g} "
                                  f"cells, above the feasible bound {MAX_DISK_CELLS:.3g}")
-    rm = np.arange(-int(mspan) - 1, int(mspan) + 2, dtype=np.int64)[:, None]
-    rn = np.arange(-int(nspan) - 1, int(nspan) + 2, dtype=np.int64)[None, :]
+    mmax, nmax = int(mspan) + 1, int(nspan) + 1
+    # |a|, |b| bounds over the box; the norm form is below 2 (a^2 + b^2)
+    amax = mmax * abs(a1) + nmax * abs(a2)
+    bmax = mmax * abs(b1) + nmax * abs(b2)
+    dtype = np.int64 if 2 * (amax * amax + bmax * bmax) < 2**63 else object
+    rm = np.arange(-mmax, mmax + 1, dtype=dtype)[:, None]
+    rn = np.arange(-nmax, nmax + 1, dtype=dtype)[None, :]
     a = rm * a1 + rn * a2
     b = rm * b1 + rn * b2
     r2 = radius * radius if lattice.is_exact else radius * radius * (1 + 1e-12)
@@ -190,6 +198,15 @@ def _angles_below_120(nz, nw, nzw, q0):
             & ((qw >= 0) | (qw * qw < nw * nzw)))
 
 
+def _largest_at_origin(nz, nw, q0):
+    """The angle of (0, z, w) at 0 strictly the largest: appendix mode's lift.
+
+    That angle faces the side w - z, so it is largest iff |w - z|^2 =
+    nz + nw - q0 exceeds both nz and nw.
+    """
+    return np.minimum(nz, nw) > q0
+
+
 def _accept_exact(lattice: LatticeSpec, mode, R, a, b, c, d, include_boundary=False):
     """Vectorized exact filters for one z-point against orientation-filtered w-points.
 
@@ -215,7 +232,7 @@ def _accept_exact(lattice: LatticeSpec, mode, R, a, b, c, d, include_boundary=Fa
 
     if mode == APPENDIX:
         zeros = np.zeros_like(angles)
-        return angles & (np.minimum(nz, nw) > q0), n, zeros, zeros
+        return angles & _largest_at_origin(nz, nw, q0), n, zeros, zeros
 
     sector, on_boundary = _sector(lattice, a, b, c, d)
     # tie diagnostics: largest angle not unique <=> two side lengths tie for

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import _angles_below_120, _sector, lattice_points_in_disk
+from .census import _angles_below_120, _largest_at_origin, _sector, lattice_points_in_disk
 from .geometry import Tripod
 from .lattice import LatticeSpec, LatticeVector
 from .quadratic import VEC_ZERO, Vec2, _sign_root3_vec
@@ -254,27 +254,28 @@ def fiber_tripods(basis: tuple[LatticeVector, LatticeVector], lattice: LatticeSp
     r0 = math.sqrt(min(lattice._norm(*sub[0]), lattice._norm(*sub[1]))) * (1 + 1e-9)
     near = lattice_points_in_disk(lattice, r0, sub)
     shortest = math.sqrt(lattice._norm(near[:, 0], near[:, 1]).min())
-    box_r = 2 * (det * lattice.covolume) / (math.sqrt(3.0) * shortest)
-    cand = lattice_points_in_disk(lattice, box_r * (1 + 1e-9), sub)
+    box_r = 2 * (det * lattice.covolume) / (math.sqrt(3.0) * shortest) * (1 + 1e-9)
+    cand = lattice_points_in_disk(lattice, box_r, sub)
+    if 4 * box_r * box_r >= 2**31.5:
+        # the angle test's largest square, (2 z.(z - w))^2 <= 16 box_r^4, can pass int64
+        cand = cand.astype(object)
 
     pairs = []
-    for a, b in cand.tolist():
+    for i, (a, b) in enumerate(cand.tolist()):
         w = cand[a * cand[:, 1] - b * cand[:, 0] == det]
         c, d = w[:, 0], w[:, 1]
         nz, nw, q0 = lattice._norm(a, b), lattice._norm(c, d), lattice._polar(a, b, c, d)
-        # admissible, with a largest angle at the origin: the lifts the box holds
-        w = w[_angles_below_120(nz, nw, nz + nw - q0, q0) & (np.minimum(nz, nw) >= q0)]
-        if len(w):
-            pairs.append(np.column_stack([np.full(len(w), a), np.full(len(w), b), w]))
+        w = w[_angles_below_120(nz, nw, nz + nw - q0, q0)]
+        pairs.append(np.hstack([np.broadcast_to(cand[i], w.shape), w]))
     a, b, c, d = np.concatenate(pairs).T
     # lifts[k, :, i] is lift k of pair i; exactly one lies in the half-open sector
     lifts = np.array([(a, b, c, d), (c - a, d - b, -a, -b), (-c, -d, a - c, b - d)])
     la, lb, lc, ld = lifts.transpose(1, 0, 2)
     pick = _sector(lattice, la, lb, lc, ld)[0]
     if mode == "appendix":
-        # the lift with the strictly largest angle at the origin, if any
-        origin = np.minimum(lattice._norm(la, lb), lattice._norm(lc, ld)) > lattice._polar(
-            la, lb, lc, ld)
+        # the lift with the strictly largest angle at the origin; ties keep the sector's
+        origin = _largest_at_origin(lattice._norm(la, lb), lattice._norm(lc, ld),
+                                    lattice._polar(la, lb, lc, ld))
         pick = np.where(origin.any(axis=0), origin, pick)
-    rows = np.unique(lifts[pick.argmax(axis=0), :, np.arange(len(a))], axis=0)
-    return [Tripod.from_coords(lattice, *row) for row in rows.tolist()]
+    rows = lifts[pick.argmax(axis=0), :, np.arange(len(a))]
+    return [Tripod.from_coords(lattice, *row) for row in sorted(set(map(tuple, rows.tolist())))]

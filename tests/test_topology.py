@@ -314,6 +314,36 @@ def test_fibers_partition_the_census(lat):
         assert count == histogram.get(n, 0), n
 
 
+@pytest.mark.parametrize("lat", [G, E], ids=["gaussian", "eisenstein"])
+@pytest.mark.parametrize("k", [23_000, 24_000, 4_000_000_000])
+def test_fiber_of_a_scaled_sublattice_is_scaled(lat, k):
+    """Scaling keeps angles and the canonical lift, so the fiber over k*L is
+    k times the fiber over L.  From k = 23000 to 24000 the Gaussian unit
+    fiber crosses the int64 bound of the angle test; at k = 4e9 even the
+    squared norms pass 2^63."""
+    for basis in [(1, 0, 0, 1), (1, 1, -1, 1), (2, 1, -1, 1)]:
+        for mode in ("lemma", "appendix"):
+            small = fiber_tripods((LatticeVector(*basis[:2]), LatticeVector(*basis[2:])),
+                                  lat, mode=mode)
+            big = fiber_tripods((LatticeVector(k * basis[0], k * basis[1]),
+                                 LatticeVector(k * basis[2], k * basis[3])), lat, mode=mode)
+            assert [t.coords for t in big] == [tuple(k * x for x in t.coords) for t in small]
+
+
+@pytest.mark.parametrize("lat, members", [
+    (G, [(2, 173203, -49999, 86600), (50001, 86603, -49999, 86600),
+         (50001, 86603, 2, 173203), (100000, 3, -49999, 86600),
+         (100000, 3, 50001, 86603), (149999, -86597, 100000, 3)]),
+    (E, [(-49999, 86600, -149999, 86597), (50001, 86603, -49999, 86600),
+         (100000, 3, -49999, 86600), (100000, 3, 50001, 86603)]),
+], ids=["gaussian", "eisenstein"])
+def test_fiber_near_hexagonal_large_basis(lat, members):
+    """A near-hexagonal basis with entries near 1e5, whose angle-test products
+    pass int64, keeps the members the pure-Python enumeration found."""
+    got = fiber_tripods((LatticeVector(100000, 3), LatticeVector(50001, 86603)), lat)
+    assert [t.coords for t in got] == members
+
+
 def test_fiber_rejects_dependent_basis():
     with pytest.raises(ValueError):
         fiber_tripods((LatticeVector(1, 1), LatticeVector(2, 2)), G)
