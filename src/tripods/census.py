@@ -38,6 +38,10 @@ MAX_EXACT_RADIUS = 10_000
 # kinds (full boxes of a, b and norms, then the kept rows), so about 1.25 GB
 # at the bound.
 MAX_DISK_CELLS = 25_000_000
+# The Eisenstein closed form reads the disk's points in slices of this many,
+# so beyond the disk its arrays peak near 18 MB (tracemalloc, R = 400 to 1000)
+# at any radius the disk guard accepts.
+CLOSED_FORM_CHUNK = 1 << 18
 
 
 class OverflowLimitError(OverflowError):
@@ -430,12 +434,130 @@ def enumerate_tripods(lattice: LatticeSpec, radius: float, mode: str = LEMMA,
     return np.concatenate(rows) if rows else np.empty((0, 4), dtype=np.int64)
 
 
+def _slice_interior(a, b):
+    """(N(u), g, I(u)) for Toricelli points u = a + b*omega on the Eisenstein lattice.
+
+    I(u) counts the lattice points strictly inside T(u) = u*(0, 1, conj(omega)).
+    T(u) is a lattice triangle of area N(u)/2 in covolume units, and each side
+    is a unit multiple of u, so it holds g = gcd(a, b) lattice steps; Pick's
+    theorem gives I = N/2 - 3g/2 + 1.
+    """
+    nu = a * a + a * b + b * b
+    g = np.gcd(a, b)
+    return nu, g, (nu - 3 * g + 2) // 2
+
+
+def _floor_sum(n, m, a, b):
+    """Sum of floor((a*i + b) / m) over 0 <= i < n, elementwise (n, a, b >= 0, m > 0).
+
+    The Euclid-like reduction of AtCoder Library's floor_sum: peel off the
+    whole parts of a/m and b/m, then swap the roles of a and m on the
+    remaining lattice points under the line.  A finished entry (top < m)
+    goes on with n = 0, adding nothing, and keeps its m so that m stays
+    positive.
+    """
+    total = np.zeros(len(n), dtype=np.int64)
+    while True:
+        total += n * (n - 1) // 2 * (a // m) + n * (b // m)
+        a, b = a % m, b % m
+        top = a * n + b
+        live = top >= m
+        if not live.any():
+            return total
+        n, b, m, a = top // m, top % m, np.where(live, a, m), m
+
+
+def _half_lattice_interior(m, n) -> int:
+    """Sum over v = m + n*omega (nonzero) of C(v) = #(2*Lambda inside T(v)), strictly.
+
+    C is invariant under the six units, so each v is first turned into
+    m > 0, n >= 0.  The points of 2*Lambda strictly inside T(v) are twice the
+    lattice points p = x + y*omega strictly inside T(v/2), whose vertices are
+    (0, 0), (m/2, n/2) and ((m+n)/2, -m/2) in lattice coordinates.  Its rows
+    are -m/2 < y < n/2, and on row y the edges give x*m > -y(m+n) (binding for
+    y <= 0), x*n > y*m (binding for y > 0) and 2x(m+n) < N(v) - 2yn, so the
+    row holds hi - lo points, lo the floor of the binding lower bound and hi
+    the largest x below the upper one.  Each of the three is a floor of a
+    linear function of y, summed over its rows by _floor_sum.
+    """
+    for _ in range(5):  # multiply by omega: (m, n) -> (-n, m + n)
+        off = (m <= 0) | (n < 0)
+        m, n = np.where(off, -n, m), np.where(off, m + n, n)
+    s = m + n
+    ylo, yhi = (-m) // 2 + 1, (n - 1) // 2
+    # hi over y = yhi - i: floor((N(v) - 1 - 2n*yhi + 2n*i) / (2s)), the
+    # intercept >= 0 since 2n*yhi < n^2 < N(v)
+    hi = _floor_sum(yhi - ylo + 1, 2 * s, 2 * n, m * m + m * n + n * n - 1 - 2 * n * yhi)
+    above = _floor_sum(np.maximum(yhi, 0), np.maximum(n, 1), m, m)  # y = i + 1 > 0
+    below = _floor_sum(1 - ylo, m, s, np.zeros_like(m))  # y = -i <= 0
+    return int((hi - above - below).sum())
+
+
+def _mertens(n: int) -> np.ndarray:
+    """M(0), ..., M(n) with M(k) = mu(1) + ... + mu(k), from a Moebius sieve."""
+    mu = np.ones(n + 1, dtype=np.int64)
+    mu[0] = 0
+    composite = np.zeros(n + 1, dtype=bool)
+    for p in range(2, n + 1):
+        if not composite[p]:
+            composite[p * p::p] = True
+            mu[p::p] *= -1
+            mu[p * p::p * p] = 0
+    return np.cumsum(mu)
+
+
+def eisenstein_counts(lattice: LatticeSpec, radius, reduced: bool = True):
+    """(all, primitive, reduced) Eisenstein tripods with ell < R, in closed form.
+
+    On the Eisenstein lattice (z, w) -> (z, u), u = (-b + c + d) + (a + b - c)*omega
+    the Toricelli point, is unimodular, ell^2 = N(u), and the admissible z of
+    one u are the lattice points strictly inside T(u) (see _slice_interior).
+    Multiplying by omega^2 permutes the three lifts of a tripod, so
+    all = (1/3) sum over 0 < N(u) < R^2 of I(u).  Removing multiples by
+    Moebius inversion, primitive = (1/3) sum_u I(u) M(K(u)), with M the
+    Mertens function and K(u) the largest k with k^2 N(u) < R^2.
+
+    By _nonreduced_mask's content test, a primitive tuple is reduced iff
+    g(u) = 1, or g(u) = 2 and z is strictly inside the medial triangle M(u).
+    The point reflection z -> v + v*conj(omega) - z, v = u/2, maps M(u) onto
+    T(v) and 2*Lambda onto a coset that rotation by omega^2 about the centre
+    of T(v) fixes; the rotation permutes the other three cosets, 2*Lambda
+    among them.  The primitive (odd) points inside M(u) therefore number
+    3*C(v) (see _half_lattice_interior), and
+    reduced = (1/3) sum_{g=1} I(u) + sum_{g=2} C(u/2).
+
+    The u-grid is the census's disk, so its guard applies; every sum is
+    int64 per slice of CLOSED_FORM_CHUNK points and a Python int overall.
+    `reduced=False` skips the C(v) counts and returns None for it.
+    """
+    R = int(radius)
+    pts = lattice_points_in_disk(lattice, R)
+    mertens = _mertens(R)
+    total = primitive = odd = even = 0
+    for start in range(0, len(pts), CLOSED_FORM_CHUNK):
+        chunk = pts[start:start + CLOSED_FORM_CHUNK]
+        nu, g, inner = _slice_interior(chunk[:, 0], chunk[:, 1])
+        keep = nu < R * R
+        nu, g, inner = nu[keep], g[keep], inner[keep]
+        # K(u) = isqrt((R^2 - 1) // N(u)); a correctly rounded float sqrt
+        # floors exactly for arguments below R^2 <= 10^8
+        k = np.sqrt((R * R - 1) // nu).astype(np.int64)
+        total += int(inner.sum())
+        primitive += int((inner * mertens[k]).sum())
+        if reduced:
+            odd += int(inner[g == 1].sum())
+            two = chunk[keep][g == 2] // 2
+            even += _half_lattice_interior(two[:, 0], two[:, 1])
+    return total // 3, primitive // 3, odd // 3 + even if reduced else None
+
+
 def convergence_scan(lattice: LatticeSpec, radii: list[float], mode: str = LEMMA) -> list[dict]:
     """One census per radius with the covolume-normalized error column.
 
     The reference density 15*sqrt(3)/(4*pi^3) applies to unit-covolume
     lattices; raw lengths scale by covolume^(-1/2), so the comparable ratio
-    is primitive * covolume^2 / R^4.
+    is primitive * covolume^2 / R^4.  Eisenstein counts come from the closed
+    form of eisenstein_counts, the others from the scan.
     """
     if list(radii) != sorted(radii):
         raise ValueError("radii must be increasing")
@@ -443,13 +565,18 @@ def convergence_scan(lattice: LatticeSpec, radii: list[float], mode: str = LEMMA
     covol = lattice.covolume
     rows = []
     for r in radii:
-        rep = census(CensusConfig(lattice=lattice, radius=r, mode=mode))
-        normalized = rep.primitive * covol ** 2 / r ** 4
+        config = CensusConfig(lattice=lattice, radius=r, mode=mode)  # checks r on both paths
+        if lattice.mode == EISENSTEIN:
+            total, primitive, _ = eisenstein_counts(lattice, r, reduced=False)
+        else:
+            rep = census(config)
+            total, primitive = rep.all_tripods, rep.primitive
+        normalized = primitive * covol ** 2 / r ** 4
         rows.append({
             "R": r,
-            "total": rep.all_tripods,
-            "primitive": rep.primitive,
-            "primitive_over_R4": rep.primitive / r ** 4,
+            "total": total,
+            "primitive": primitive,
+            "primitive_over_R4": primitive / r ** 4,
             "normalized_ratio": normalized,
             "error": abs(normalized - ref),
         })
@@ -458,23 +585,35 @@ def convergence_scan(lattice: LatticeSpec, radii: list[float], mode: str = LEMMA
 
 def nonreduced_census(lattice: LatticeSpec, radius: float, threads: int = 1,
                       mode: str = LEMMA) -> dict:
-    """Census with reducedness classification; exact lattices only."""
+    """Census with reducedness classification; exact lattices only.
+
+    Eisenstein counts come from the closed form of eisenstein_counts,
+    Gaussian ones from the scan.
+    """
     if not lattice.is_exact:
         raise ValueError("nonreduced census requires an exact preset lattice")
-    rep = census(CensusConfig(lattice=lattice, radius=radius, mode=mode,
-                              classify_reduced=True, threads=threads))
-    ratio = rep.nonreduced_primitive / radius ** 4
+    # built on both paths, so the closed form gets the scan's argument checks
+    config = CensusConfig(lattice=lattice, radius=radius, mode=mode,
+                          classify_reduced=True, threads=threads)
+    if lattice.mode == EISENSTEIN:
+        t0 = time.perf_counter()
+        all_tripods, primitive, reduced = eisenstein_counts(lattice, radius)
+        elapsed = (time.perf_counter() - t0) * 1000.0
+    else:
+        rep = census(config)
+        all_tripods, primitive, reduced = rep.all_tripods, rep.primitive, rep.reduced
+        elapsed = rep.elapsed_ms
     out = {
         "radius": radius,
         "counts": {
-            "all_tripods": rep.all_tripods,
-            "primitive": rep.primitive,
-            "reduced": rep.reduced,
-            "nonreduced_primitive": rep.nonreduced_primitive,
+            "all_tripods": all_tripods,
+            "primitive": primitive,
+            "reduced": reduced,
+            "nonreduced_primitive": primitive - reduced,
         },
-        "nonreduced_over_R4": ratio,
-        "all_over_R4": rep.all_tripods / radius ** 4,
-        "elapsed_ms": rep.elapsed_ms,
+        "nonreduced_over_R4": (primitive - reduced) / radius ** 4,
+        "all_over_R4": all_tripods / radius ** 4,
+        "elapsed_ms": elapsed,
     }
     if lattice.mode == EISENSTEIN:  # the paper states these constants for this lattice
         consts = analytics.reference_constants()

@@ -13,8 +13,10 @@ from tripods.census import (
     CensusConfig,
     OverflowLimitError,
     _accept_exact,
+    _half_lattice_interior,
     _nonreduced_mask,
     _scan,
+    _slice_interior,
     census,
     convergence_scan,
     enumerate_tripods,
@@ -412,6 +414,70 @@ def test_disk_with_sublattice_basis(lat, basis):
         order = np.lexsort((n[inside] // det, m[inside] // det))
         assert np.array_equal(lattice_points_in_disk(lat, radius, basis),
                               full[inside][order])
+
+
+# -- the Eisenstein closed form against the scan and brute force --------------
+
+
+@pytest.fixture(scope="module")
+def eisenstein_scans():
+    """Scanned Eisenstein censuses with reducedness, R = 1..25 and 40."""
+    return {R: census(CensusConfig(E, R, classify_reduced=True))
+            for R in [*range(1, 26), 40]}
+
+
+def test_eisenstein_closed_form_matches_scan(eisenstein_scans):
+    for R, rep in eisenstein_scans.items():
+        assert nonreduced_census(E, R)["counts"] == {
+            "all_tripods": rep.all_tripods, "primitive": rep.primitive,
+            "reduced": rep.reduced, "nonreduced_primitive": rep.nonreduced_primitive}, R
+
+
+def test_eisenstein_convergence_matches_scan(eisenstein_scans):
+    rows = convergence_scan(E, [5, 10, 20, 40])
+    assert [(row["R"], row["total"], row["primitive"]) for row in rows] == [
+        (R, eisenstein_scans[R].all_tripods, eisenstein_scans[R].primitive)
+        for R in (5, 10, 20, 40)]
+
+
+def _inside_count(vertices, step=1):
+    """Points (x, y) of step * Z^2 strictly inside a lattice-coordinate
+    triangle, by testing every point of its bounding box."""
+    xs, ys = zip(*vertices)
+    x, y = np.meshgrid(np.arange(min(xs), max(xs) + 1), np.arange(min(ys), max(ys) + 1))
+    sides = [(bx - ax) * (y - ay) - (by - ay) * (x - ax)
+             for (ax, ay), (bx, by) in zip(vertices, vertices[1:] + vertices[:1])]
+    inside = ((sides[0] > 0) & (sides[1] > 0) & (sides[2] > 0)) | (
+        (sides[0] < 0) & (sides[1] < 0) & (sides[2] < 0))
+    return int(np.count_nonzero(inside & (x % step == 0) & (y % step == 0)))
+
+
+def _triangle(m, n):
+    """T(v) = v*(0, 1, conj(omega)) for v = m + n*omega, in lattice coordinates."""
+    return [(0, 0), (m, n), (m + n, -m)]
+
+
+_NONZERO = st.tuples(st.integers(-30, 30), st.integers(-30, 30)).filter(lambda v: v != (0, 0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(u=_NONZERO)
+def test_pick_interior_matches_brute_force(u):
+    nu, g, inner = _slice_interior(*u)
+    assert (nu, g) == (E._norm(*u), gcd(*u))
+    assert inner == _inside_count(_triangle(*u))
+
+
+@settings(max_examples=150, deadline=None)
+@given(vs=st.lists(_NONZERO, min_size=1, max_size=4))
+def test_half_lattice_rows_match_brute_force(vs):
+    """C(v) = #(2*Lambda strictly inside T(v)) summed by floor sums over a
+    batch of v (entries finish their reduction at different steps); brute
+    force also shows C unchanged when v is multiplied by omega."""
+    m, n = np.array(vs).T
+    brute = sum(_inside_count(_triangle(*v), step=2) for v in vs)
+    assert _half_lattice_interior(m, n) == brute == sum(
+        _inside_count(_triangle(-b, a + b), step=2) for a, b in vs)
 
 
 # -- the int64 bound of the exact predicates, checked -------------------------

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -256,3 +257,39 @@ def test_float_serialization_17_digits():
     cp = run("volume", "--samples", "10000", "--seed", "1")
     # reference = sqrt(3)*pi/24 printed with 17 significant digits
     assert "0.2267249205292772" in cp.stdout
+
+
+@pytest.mark.parametrize("radius, counts, csv_row", [
+    (1, (0, 0, 0, 0), "1,0,0,0,0,0,"),
+    (2, (2, 2, 2, 0), "2,2,2,2,0,0.125,"),
+], ids=["R=1", "R=2"])
+def test_nonreduced_eisenstein_tiny_radii(radius, counts, csv_row, capsys):
+    """R = 1 has no Toricelli point with N(u) < R^2; R = 2 only the units."""
+    argv = ["nonreduced", "--lattice", "eisenstein", "--radius", str(radius)]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    payload = json.loads(out)["payload"]
+    assert tuple(payload["counts"].values()) == counts and err == ""
+    assert payload["nonreduced_over_R4"] == 0 and payload["all_over_R4"] == counts[0] / radius ** 4
+    assert main(argv + ["--format", "csv"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "R,total,primitive,reduced,nonreduced,primitive_over_R4,error\n" \
+        + csv_row + "\n" and err == ""
+
+
+@pytest.mark.parametrize("args", [
+    ("nonreduced", "--lattice", "eisenstein", "--radius", "2164"),
+    ("convergence", "--lattice", "eisenstein", "--radii", "2164"),
+], ids=["nonreduced", "convergence"])
+def test_closed_form_beyond_disk_guard_exit3(args, capsys):
+    """R = 2164 is the first Eisenstein radius whose disk box passes
+    MAX_DISK_CELLS; the closed form refuses it before allocating its grid."""
+    tracemalloc.start()
+    try:
+        assert main(list(args)) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert err.startswith("overflow: the disk of radius 2164") and out == ""
+    assert peak < 1_000_000
