@@ -48,7 +48,6 @@ from .lattice import (
     gaussian_lattice,
     general_lattice,
     is_primitive_quadruple,
-    lattice_points_on_open_segment,
     parse_lattice,
 )
 from .quadratic import QuadraticNumber, Vec2, sign_root3
@@ -84,7 +83,6 @@ __all__ = [
     "gaussian_lattice",
     "general_lattice",
     "is_primitive_quadruple",
-    "lattice_points_on_open_segment",
     "mc_omega_volume",
     "nonreduced_census",
     "omega_membership",

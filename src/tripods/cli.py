@@ -73,16 +73,16 @@ def _parse_coords(text: str) -> tuple[int, int, int, int]:
     return tuple(int(p) for p in parts)  # type: ignore[return-value]
 
 
-def _census_row(radius, rep, reference, covol) -> dict:
-    normalized = rep.primitive * covol ** 2 / radius ** 4
+def _csv_row(radius, total, primitive, reduced, nonreduced, error) -> dict:
+    """One census CSV row, in the column order of reporting.CSV_COLUMNS."""
     return {
         "R": radius,
-        "total": rep.all_tripods,
-        "primitive": rep.primitive,
-        "reduced": rep.reduced,
-        "nonreduced": rep.nonreduced_primitive,
-        "primitive_over_R4": rep.primitive / radius ** 4,
-        "error": abs(normalized - reference),
+        "total": total,
+        "primitive": primitive,
+        "reduced": reduced,
+        "nonreduced": nonreduced,
+        "primitive_over_R4": primitive / radius ** 4,
+        "error": error,
     }
 
 
@@ -91,7 +91,7 @@ def cmd_census(args) -> int:
     config = CensusConfig(
         lattice=lattice,
         radius=args.radius,
-        mode=APPENDIX if args.mode == "appendix" else LEMMA,
+        mode=args.mode,
         classify_reduced=args.reduced,
         threads=args.threads,
         emit_samples=args.samples,
@@ -100,8 +100,10 @@ def cmd_census(args) -> int:
     env = reporting.envelope("census", lattice.describe(), rep.payload())
     csv_text = None
     if args.format == "csv":
-        ref = rep.reference_constant
-        csv_text = reporting.census_csv([_census_row(args.radius, rep, ref, lattice.covolume)])
+        normalized = rep.primitive * lattice.covolume ** 2 / args.radius ** 4
+        csv_text = reporting.census_csv([_csv_row(
+            args.radius, rep.all_tripods, rep.primitive, rep.reduced,
+            rep.nonreduced_primitive, abs(normalized - rep.reference_constant))])
     _emit(args, env, csv_text)
     return EXIT_OK
 
@@ -146,11 +148,10 @@ def cmd_convergence(args) -> int:
     lattice = parse_lattice(args.lattice)
     radii = [float(r) if not r.is_integer() else int(r)
              for r in (float(x) for x in args.radii.split(","))]
-    mode = APPENDIX if args.mode == "appendix" else LEMMA
-    rows = convergence_scan(lattice, radii, mode=mode)
+    rows = convergence_scan(lattice, radii, mode=args.mode)
     reference = analytics.reference_constants()["main_constant"]
     payload = {
-        "mode": mode,
+        "mode": args.mode,
         "reference_constant": reference,
         "rows": rows,
     }
@@ -161,12 +162,9 @@ def cmd_convergence(args) -> int:
         payload["plot"] = args.plot
     csv_text = None
     if args.format == "csv":
-        csv_rows = [{
-            "R": row["R"], "total": row["total"], "primitive": row["primitive"],
-            "reduced": None, "nonreduced": None,
-            "primitive_over_R4": row["primitive_over_R4"], "error": row["error"],
-        } for row in rows]
-        csv_text = reporting.census_csv(csv_rows)
+        csv_text = reporting.census_csv([
+            _csv_row(row["R"], row["total"], row["primitive"], None, None, row["error"])
+            for row in rows])
     _emit(args, reporting.envelope("convergence", lattice.describe(), payload), csv_text)
     return EXIT_OK
 
@@ -184,13 +182,9 @@ def cmd_nonreduced(args) -> int:
     csv_text = None
     if args.format == "csv":
         counts = payload["counts"]
-        csv_text = reporting.census_csv([{
-            "R": args.radius, "total": counts["all_tripods"],
-            "primitive": counts["primitive"], "reduced": counts["reduced"],
-            "nonreduced": counts["nonreduced_primitive"],
-            "primitive_over_R4": counts["primitive"] / args.radius ** 4,
-            "error": None,
-        }])
+        csv_text = reporting.census_csv([_csv_row(
+            args.radius, counts["all_tripods"], counts["primitive"], counts["reduced"],
+            counts["nonreduced_primitive"], None)])
     _emit(args, reporting.envelope("nonreduced", lattice.describe(), payload), csv_text)
     return EXIT_OK
 
@@ -241,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="enumerate all tripods with length <= R")
     p.add_argument("--lattice", required=True)
     p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--mode", choices=["lemma", "appendix"], default="lemma")
+    p.add_argument("--mode", choices=[LEMMA, APPENDIX], default=LEMMA)
     p.add_argument("--reduced", action="store_true", help="classify reducedness")
     p.add_argument("--samples", type=int, default=None,
                    help="retain up to N per-tripod records")
@@ -257,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convergence", help="census at several radii with errors")
     p.add_argument("--lattice", default="gaussian")
     p.add_argument("--radii", required=True, help="comma-separated increasing radii")
-    p.add_argument("--mode", choices=["lemma", "appendix"], default="lemma")
+    p.add_argument("--mode", choices=[LEMMA, APPENDIX], default=LEMMA)
     p.add_argument("--plot", help="write an SVG convergence plot")
     add_common(p)
     p.set_defaults(func=cmd_convergence)
@@ -277,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fiber", help="tripods spanning a fixed sublattice")
     p.add_argument("--lattice", default="gaussian")
     p.add_argument("--basis", required=True, help="a1,b1,a2,b2")
-    p.add_argument("--mode", choices=["lemma", "appendix"], default="lemma")
+    p.add_argument("--mode", choices=[LEMMA, APPENDIX], default=LEMMA)
     p.add_argument("--out")
     p.set_defaults(func=cmd_fiber, format="json")
 

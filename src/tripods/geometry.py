@@ -18,13 +18,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import (
-    LatticeSpec,
-    heuristic_points_on_open_segment,
-    is_primitive_quadruple,
-    lattice_points_on_open_segment,
-)
-from .quadratic import VEC_ZERO, QuadraticNumber, Vec2
+from .lattice import LatticeSpec, heuristic_points_on_open_segment, is_primitive_quadruple
+from .quadratic import QuadraticNumber, Vec2
 
 
 class InvalidTripodError(ValueError):
@@ -172,25 +167,44 @@ class Tripod:
         return [(a, b, c, d), (c - a, d - b, -a, -b), (-c, -d, a - c, b - d)]
 
 
-def classify(tripod: Tripod) -> TripodFlags:
-    """Primitive/reduced flags via exact segment queries.
+def _lattice_points_inside_leg(e1: QuadraticNumber, e2: QuadraticNumber) -> int:
+    """Lattice points strictly inside the leg from an integer vertex V to V + e.
 
-    primitive: gcd(a, b, c, d) = 1.  reduced: primitive, no lattice point
-    strictly interior to any of the three legs, and the junction point is not
-    a lattice point.
+    e = (e1, e2) is in lattice coordinates; write e = r + s*sqrt(3) with r, s
+    in Q^2.  An integer point V + k on the leg has k x r = k x s = 0, so there
+    is none unless r x s = 0.  Then e = lam * f with f the primitive integer
+    vector along r (along s when r = 0), and the leg holds V + j*f for the
+    integers 0 < j < |lam|: ceil(|lam|) - 1 points.
     """
-    lat = tripod.lattice
+    r1, r2, s1, s2 = e1.rational, e2.rational, e1.root3, e2.root3
+    if r1 * s2 != r2 * s1:
+        return 0
+    f1, f2 = (r1, r2) if r1 or r2 else (s1, s2)
+    den = math.lcm(f1.denominator, f2.denominator)
+    f1, f2 = f1.numerator * (den // f1.denominator), f2.numerator * (den // f2.denominator)
+    g = math.gcd(f1, f2)
+    lam = e1 / (f1 // g) if f1 else e2 / (f2 // g)
+    if lam.sign() < 0:
+        lam = -lam
+    return lam.floor() - lam.is_integer()
+
+
+def classify(tripod: Tripod) -> TripodFlags:
+    """Primitive/reduced flags, decided exactly in lattice coordinates.
+
+    primitive: gcd(a, b, c, d) = 1.  reduced: primitive, the junction point
+    is not a lattice point, and no lattice point lies strictly inside any of
+    the three legs, each counted from its integer vertex 0, z or w.
+    """
     primitive = is_primitive_quadruple(*tripod.coords)
     if not primitive:
         return TripodFlags(primitive=False, reduced=False)
-    p = tripod.p
-    legs = ((VEC_ZERO, p), (tripod.z, p), (tripod.w, p))
-    for start, end in legs:
-        if lattice_points_on_open_segment(start, end, lat):
-            return TripodFlags(primitive=True, reduced=False)
-    la, lb = lat.to_lattice_coords(p)
-    if la.is_integer() and lb.is_integer():
+    pa, pb = tripod.lattice.to_lattice_coords(tripod.p)
+    if pa.is_integer() and pb.is_integer():
         return TripodFlags(primitive=True, reduced=False)
+    for va, vb in ((0, 0), (tripod.a, tripod.b), (tripod.c, tripod.d)):
+        if _lattice_points_inside_leg(pa - va, pb - vb):
+            return TripodFlags(primitive=True, reduced=False)
     return TripodFlags(primitive=True, reduced=True)
 
 

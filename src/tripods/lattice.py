@@ -1,9 +1,10 @@
-"""Torus lattices Z + Z*tau: embeddings, primitivity, segment queries.
+"""Torus lattices Z + Z*tau: embeddings, coordinates, primitivity.
 
 The two preset lattices (Gaussian tau = i, Eisenstein tau = e^{i*pi/3}) carry
-exact Q(sqrt(3)) embeddings so every geometric predicate downstream stays
-branch-exact.  A general tau = s + it is supported with float coordinates and
-an epsilon tolerance; results that depend on it are flagged heuristic.
+exact Q(sqrt(3)) embeddings and their inverse, the lattice coordinates in
+which every exact predicate downstream is decided.  A general tau = s + it is
+supported with float coordinates and an epsilon tolerance, and a float
+segment query for it; results that depend on it are flagged heuristic.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .quadratic import QN_ZERO, QuadraticNumber, Vec2
+from .quadratic import QuadraticNumber, Vec2
 
 GAUSSIAN = "gaussian"
 EISENSTEIN = "eisenstein"
@@ -159,119 +160,6 @@ def is_primitive_quadruple(a: int, b: int, c: int, d: int) -> bool:
     if a == 0 and b == 0 and c == 0 and d == 0:
         raise ValueError("all-zero quadruple has no gcd")
     return gcd(gcd(abs(a), abs(b)), gcd(abs(c), abs(d))) == 1
-
-
-def _extended_gcd(x: int, y: int) -> tuple[int, int, int]:
-    if y == 0:
-        return x, 1, 0
-    g, p, q = _extended_gcd(y, x % y)
-    return g, q, p - (x // y) * q
-
-
-def _integer_equations(lattice, p_lat, q_lat):
-    """Reduce the collinearity condition to integer equations in (m, n).
-
-    In lattice coordinates the segment is P + t*(Q - P); an integer point
-    (m, n) on the supporting line satisfies m*D2 - n*D1 = P1*D2 - P2*D1.
-    Splitting into rational and sqrt(3) parts and clearing denominators gives
-    two linear equations with integer coefficients.
-    """
-    d1 = q_lat[0] - p_lat[0]
-    d2 = q_lat[1] - p_lat[1]
-    e = p_lat[0] * d2 - p_lat[1] * d1
-    den = math.lcm(d1.rational.denominator, d1.root3.denominator,
-                   d2.rational.denominator, d2.root3.denominator,
-                   e.rational.denominator, e.root3.denominator)
-    eq1 = (int(d2.rational * den), int(-d1.rational * den), int(e.rational * den))
-    eq2 = (int(d2.root3 * den), int(-d1.root3 * den), int(e.root3 * den))
-    return d1, d2, eq1, eq2
-
-
-def lattice_points_on_open_segment(p: Vec2, q: Vec2, lattice: LatticeSpec) -> list[LatticeVector]:
-    """All lattice points strictly interior to the segment [p, q], exactly.
-
-    Works for any endpoints in Q(sqrt(3))^2 in the preset modes.  The line
-    constraint yields at most a 2x2 rational system; when it degenerates the
-    solutions form an arithmetic progression and the open-parameter window is
-    solved exactly.
-    """
-    if not lattice.is_exact:
-        raise ValueError("exact segment query requires a preset lattice; "
-                         "use heuristic_points_on_open_segment for general tau")
-    if p == q:
-        raise ValueError("segment endpoints must be distinct")
-    p_lat = lattice.to_lattice_coords(p)
-    q_lat = lattice.to_lattice_coords(q)
-    d1, d2, eq1, eq2 = _integer_equations(lattice, p_lat, q_lat)
-
-    def param(m: int, n: int) -> QuadraticNumber:
-        if d1.sign() != 0:
-            return (QuadraticNumber(m) - p_lat[0]) / d1
-        return (QuadraticNumber(n) - p_lat[1]) / d2
-
-    def interior(m: int, n: int) -> bool:
-        t = param(m, n)
-        return t.sign() > 0 and (QuadraticNumber(1) - t).sign() > 0
-
-    a1, b1, c1 = eq1
-    a2, b2, c2 = eq2
-    det = a1 * b2 - a2 * b1
-    out: list[LatticeVector] = []
-    if det != 0:
-        mnum = c1 * b2 - c2 * b1
-        nnum = a1 * c2 - a2 * c1
-        if mnum % det == 0 and nnum % det == 0:
-            m, n = mnum // det, nnum // det
-            if interior(m, n):
-                out.append(LatticeVector(m, n))
-        return out
-
-    # Degenerate system: the two equations are proportional (rational slope
-    # in lattice coordinates).  Check consistency, then solve the single
-    # Diophantine equation.  An equation with vanishing coefficients but
-    # nonzero constant (rational direction, irrational offset) admits no
-    # lattice point at all.
-    for ax, bx, cx in (eq1, eq2):
-        if ax == 0 and bx == 0 and cx != 0:
-            return out
-    eqs = [e for e in (eq1, eq2) if e[0] != 0 or e[1] != 0]
-    if not eqs:
-        raise ValueError("degenerate segment")
-    a0, b0, c0 = eqs[0]
-    for ax, bx, cx in eqs[1:]:
-        if a0 * cx != ax * c0 or b0 * cx != bx * c0:
-            return out
-    g = gcd(abs(a0), abs(b0))
-    if c0 % g != 0:
-        return out
-    _, pm, pn = _extended_gcd(abs(a0), abs(b0))
-    pm = pm if a0 >= 0 else -pm
-    pn = pn if b0 >= 0 else -pn
-    scale = c0 // g
-    m0, n0 = pm * scale, pn * scale
-    sm, sn = b0 // g, -a0 // g
-    # parameter along the segment, linear in the progression index k
-    if d1.sign() != 0:
-        t0 = (QuadraticNumber(m0) - p_lat[0]) / d1
-        dt = QuadraticNumber(sm) / d1
-    else:
-        t0 = (QuadraticNumber(n0) - p_lat[1]) / d2
-        dt = QuadraticNumber(sn) / d2
-    if dt.sign() == 0:
-        if interior(m0, n0):
-            out.append(LatticeVector(m0, n0))
-        return out
-    lo = (QN_ZERO - t0) / dt
-    hi = (QuadraticNumber(1) - t0) / dt
-    if dt.sign() < 0:
-        lo, hi = hi, lo
-    klo = lo.floor() + 1
-    khi = hi.floor()
-    if QuadraticNumber(khi) == hi:
-        khi -= 1
-    for k in range(klo, khi + 1):
-        out.append(LatticeVector(m0 + sm * k, n0 + sn * k))
-    return out
 
 
 def heuristic_points_on_open_segment(px: float, py: float, qx: float, qy: float,

@@ -27,7 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import _angles_below_120, _largest_at_origin, _sector, lattice_points_in_disk
+from .census import (
+    APPENDIX,
+    LEMMA,
+    _angles_below_120,
+    _largest_at_origin,
+    _sector,
+    lattice_points_in_disk,
+)
 from .geometry import Tripod
 from .lattice import LatticeSpec, LatticeVector
 from .quadratic import VEC_ZERO, Vec2, _sign_root3_vec
@@ -232,7 +239,7 @@ def degenerate_frequency(reports: list[ImmersionReport]) -> float:
 
 
 def fiber_tripods(basis: tuple[LatticeVector, LatticeVector], lattice: LatticeSpec,
-                  mode: str = "lemma") -> list[Tripod]:
+                  mode: str = LEMMA) -> list[Tripod]:
     """All tripods whose spanning lattice is exactly the given sublattice.
 
     Every such tripod has a lift with its largest angle at the origin, and
@@ -243,6 +250,8 @@ def fiber_tripods(basis: tuple[LatticeVector, LatticeVector], lattice: LatticeSp
     census's strict angle test are mapped to their canonical lift and
     deduplicated.
     """
+    if mode not in (LEMMA, APPENDIX):
+        raise ValueError(f"unknown census mode {mode!r}")
     if not lattice.is_exact:
         raise ValueError("fiber enumeration requires a preset lattice")
     v1, v2 = basis
@@ -272,7 +281,7 @@ def fiber_tripods(basis: tuple[LatticeVector, LatticeVector], lattice: LatticeSp
     lifts = np.array([(a, b, c, d), (c - a, d - b, -a, -b), (-c, -d, a - c, b - d)])
     la, lb, lc, ld = lifts.transpose(1, 0, 2)
     pick = _sector(lattice, la, lb, lc, ld)[0]
-    if mode == "appendix":
+    if mode == APPENDIX:
         # the lift with the strictly largest angle at the origin; ties keep the sector's
         origin = _largest_at_origin(lattice._norm(la, lb), lattice._norm(lc, ld),
                                     lattice._polar(la, lb, lc, ld))

@@ -209,23 +209,28 @@ def test_scaling_filter():
 
 
 def test_reduced_classification_matches_exact():
-    """Vectorized reducedness flags agree with exact segment queries."""
-    for lat, R in ((E, 6), (G, 6)):
-        rep = census(CensusConfig(lattice=lat, radius=R, classify_reduced=True,
-                                  emit_samples=10 ** 9))
-        exact_nonred = 0
-        for s in rep.samples:
-            if not s["primitive"]:
-                continue
-            t = Tripod.from_coords(lat, *s["coords"])
-            if not classify(t).reduced:
-                exact_nonred += 1
-        assert exact_nonred == rep.nonreduced_primitive
+    """The census's integer nonreduced flags agree tuple by tuple with
+    `classify`, which counts the lattice points on each leg in lattice
+    coordinates, on every tripod with ell < 12 of both lattices."""
+    R = 12
+    for lat, golden in ((G, 164), (E, 1336)):
+        nonreduced = 0
+        for a, b, c, d, n, *_ in _scan(lat, LEMMA, R, lattice_points_in_disk(lat, R)):
+            prim = np.gcd(gcd(a, b), np.gcd(c, d)) == 1
+            mask = _nonreduced_mask(lat, a, b, c, d, n, prim)
+            for k in range(len(c)):
+                flags = classify(Tripod.from_coords(lat, a, b, int(c[k]), int(d[k])))
+                assert flags.primitive == prim[k]
+                assert mask[k] == (flags.primitive and not flags.reduced), (a, b, c[k], d[k])
+            nonreduced += int(np.count_nonzero(mask))
+        assert nonreduced == golden
+        rep = census(CensusConfig(lattice=lat, radius=R, classify_reduced=True))
+        assert rep.nonreduced_primitive == golden
 
 
 @pytest.mark.parametrize("mode, golden20, golden35", [(LEMMA, 592, 2276), (APPENDIX, 100, 504)])
 def test_gaussian_reducedness_matches_classify(mode, golden20, golden35):
-    """The integer reducedness test agrees with the exact segment queries of
+    """The integer reducedness test agrees with the exact leg counts of
     `classify` on every primitive isosceles tripod with ell < 20, and flags
     no tuple that is not isosceles."""
     R = 20

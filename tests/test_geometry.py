@@ -6,6 +6,7 @@ import pytest
 from tripods.geometry import (
     InvalidTripodError,
     Tripod,
+    _lattice_points_inside_leg,
     angle_condition,
     classify,
     classify_heuristic,
@@ -176,11 +177,8 @@ def test_classify_eisenstein_nonprimitive_toricelli_sufficient_condition():
     # u = 2 + 2*zeta is nonprimitive and the junction leg takes 2/3 of the
     # total length, so the primitive step along u lands inside the leg
     t = Tripod.from_coords(E, 2, 1, 1, 2)
-    from tripods.lattice import lattice_points_on_open_segment
-    from tripods.quadratic import VEC_ZERO
-
-    hits = lattice_points_on_open_segment(VEC_ZERO, t.p, E)
-    assert hits  # interior lattice point on the junction leg
+    # interior lattice point on the junction leg
+    assert _lattice_points_inside_leg(*E.to_lattice_coords(t.p)) > 0
     flags = classify(t)
     assert flags.primitive and not flags.reduced
 

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from tripods.geometry import fermat_point
+from tripods.geometry import _lattice_points_inside_leg as leg, fermat_point
 from tripods.lattice import (
     LatticeVector,
     eisenstein_lattice,
@@ -12,10 +12,9 @@ from tripods.lattice import (
     general_lattice,
     heuristic_points_on_open_segment,
     is_primitive_quadruple,
-    lattice_points_on_open_segment,
     parse_lattice,
 )
-from tripods.quadratic import QuadraticNumber, Vec2
+from tripods.quadratic import QuadraticNumber as Q
 
 
 def test_parse_grammar():
@@ -35,7 +34,7 @@ def test_covolume():
     assert gaussian_lattice().covolume == 1.0
     assert eisenstein_lattice().covolume == pytest.approx(math.sqrt(3) / 2)
     assert general_lattice(0.3, 2.0).covolume == 2.0
-    assert eisenstein_lattice().covolume_exact() == QuadraticNumber(0, Fraction(1, 2))
+    assert eisenstein_lattice().covolume_exact() == Q(0, Fraction(1, 2))
 
 
 def test_embedding_round_trip():
@@ -44,8 +43,8 @@ def test_embedding_round_trip():
             for b in range(-5, 6):
                 pt = lat.embed(a, b)
                 ra, rb = lat.to_lattice_coords(pt)
-                assert ra == QuadraticNumber(a)
-                assert rb == QuadraticNumber(b)
+                assert ra == Q(a)
+                assert rb == Q(b)
 
 
 def test_primitive_quadruple():
@@ -56,81 +55,56 @@ def test_primitive_quadruple():
         is_primitive_quadruple(0, 0, 0, 0)
 
 
+# -- lattice points strictly inside a leg from an integer vertex V to V + e,
+# with e in lattice coordinates
+
+
 def test_segment_midpoint():
-    lat = gaussian_lattice()
-    pts = lattice_points_on_open_segment(lat.embed(0, 0), lat.embed(2, 2), lat)
-    assert pts == [LatticeVector(1, 1)]
+    assert leg(Q(2), Q(2)) == 1
+    assert leg(Q(-3), Q(0)) == 2
 
 
 def test_segment_primitive_vector_empty():
-    lat = gaussian_lattice()
-    assert lattice_points_on_open_segment(lat.embed(0, 0), lat.embed(1, 1), lat) == []
+    assert leg(Q(1), Q(1)) == 0
 
 
 def test_segment_to_fermat_point_empty():
     lat = gaussian_lattice()
     p = fermat_point(lat.embed(1, 0), lat.embed(0, 1))
-    assert lattice_points_on_open_segment(lat.embed(0, 0), p, lat) == []
+    assert leg(*lat.to_lattice_coords(p)) == 0
 
 
 def test_segment_gcd_property_exhaustive():
     for lat in (gaussian_lattice(), eisenstein_lattice()):
-        origin = lat.embed(0, 0)
         for a in range(-20, 21):
             for b in range(-20, 21):
                 if (a, b) == (0, 0):
                     continue
-                pts = lattice_points_on_open_segment(origin, lat.embed(a, b), lat)
-                assert len(pts) == gcd(abs(a), abs(b)) - 1, (a, b)
+                assert leg(*lat.to_lattice_coords(lat.embed(a, b))) == gcd(a, b) - 1, (a, b)
 
 
 def test_segment_symmetry():
-    lat = eisenstein_lattice()
-    p = lat.embed(-1, 2)
-    q = lat.embed(5, -4)
-    fwd = set(lattice_points_on_open_segment(p, q, lat))
-    bwd = set(lattice_points_on_open_segment(q, p, lat))
-    assert fwd == bwd
-    assert len(fwd) == gcd(6, 6) - 1
+    # the leg between the integer points (-1, 2) and (5, -4), from either end
+    assert leg(Q(6), Q(-6)) == leg(Q(-6), Q(6)) == gcd(6, 6) - 1
 
 
 def test_segment_irrational_direction():
-    # endpoints with sqrt(3) coordinates: generic line hits no lattice point
-    lat = gaussian_lattice()
-    p = Vec2(QuadraticNumber(0, Fraction(1, 3)), QuadraticNumber(1))
-    q = Vec2(QuadraticNumber(3), QuadraticNumber(0, 1))
-    pts = lattice_points_on_open_segment(p, q, lat)
-    assert pts == []
+    # e = r + s*sqrt(3) with r x s != 0: the supporting line meets no
+    # integer point besides the vertex
+    assert leg(Q(3, Fraction(-1, 3)), Q(-1, 1)) == 0
 
 
-def test_segment_rational_direction_irrational_offset_empty():
-    # vertical line x = sqrt(3): rational direction, irrational offset,
-    # so it carries no lattice point at any parameter
-    lat = gaussian_lattice()
-    p = Vec2(QuadraticNumber(0, 1), QuadraticNumber(Fraction(1, 2)))
-    q = Vec2(QuadraticNumber(0, 1), QuadraticNumber(Fraction(-1, 2)))
-    assert lattice_points_on_open_segment(p, q, lat) == []
-    # same shape on the eisenstein lattice
-    lat = eisenstein_lattice()
-    assert lattice_points_on_open_segment(p, q, lat) == []
-
-
-def test_segment_single_rational_point():
-    # line through (1,1) with irrational slope: exactly one candidate
-    lat = gaussian_lattice()
-    d = Vec2(QuadraticNumber(1), QuadraticNumber(0, 1))  # slope sqrt(3)
-    p = Vec2(QuadraticNumber(1) - d.x, QuadraticNumber(1) - d.y)
-    q = Vec2(QuadraticNumber(1) + d.x, QuadraticNumber(1) + d.y)
-    pts = lattice_points_on_open_segment(p, q, lat)
-    assert pts == [LatticeVector(1, 1)]
-
-
-def test_segment_requires_exact_lattice():
-    lat = general_lattice(0.3, 1.1)
-    with pytest.raises(ValueError):
-        lattice_points_on_open_segment(
-            Vec2(QuadraticNumber(0), QuadraticNumber(0)),
-            Vec2(QuadraticNumber(1), QuadraticNumber(1)), lat)
+def test_leg_irrational_length_along_rational_direction():
+    root3 = Q(0, 1)
+    # e = 2*sqrt(3)*(1, 1): lam = 3.46 along f = (1, 1)
+    assert leg(2 * root3, 2 * root3) == 3
+    # e = (1 + sqrt(3))*(1, 2): lam = 2.73 along f = (1, 2)
+    assert leg(1 + root3, 2 + 2 * root3) == 2
+    # e = (1 - 2*sqrt(3))*(1, 1): r points away from e, lam = 2.46 along (-1, -1)
+    assert leg(1 - 2 * root3, 1 - 2 * root3) == 2
+    # rational lam = 1.5 along (3, 2): the far end is not inside
+    assert leg(Q(Fraction(9, 2)), Q(3)) == 1
+    assert leg(Q(6), Q(4)) == 1
 
 
 def test_heuristic_segment():

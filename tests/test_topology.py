@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tripods.census import CensusConfig, census, enumerate_tripods
+from tripods.census import APPENDIX, LEMMA, CensusConfig, census, enumerate_tripods
 from tripods.geometry import Tripod, classify
 from tripods.lattice import LatticeVector, eisenstein_lattice, gaussian_lattice
 from tripods.topology import (
@@ -347,6 +347,14 @@ def test_fiber_near_hexagonal_large_basis(lat, members):
 def test_fiber_rejects_dependent_basis():
     with pytest.raises(ValueError):
         fiber_tripods((LatticeVector(1, 1), LatticeVector(2, 2)), G)
+
+
+def test_fiber_rejects_unknown_mode():
+    unit = (LatticeVector(1, 0), LatticeVector(0, 1))
+    for mode in ("bogus", "Lemma", ""):
+        with pytest.raises(ValueError, match="mode"):
+            fiber_tripods(unit, G, mode=mode)
+    assert len(fiber_tripods(unit, G, mode=APPENDIX)) == len(fiber_tripods(unit, G, mode=LEMMA))
 
 
 def test_fiber_members_span_their_lattice():
